@@ -14,6 +14,7 @@ from .canonicalize import (
     extract_epr_pair,
     extract_ghz,
     extract_unentangled,
+    is_exact,
     tripartition_normal_form,
 )
 from .channel import (
@@ -24,10 +25,9 @@ from .channel import (
     code_to_choi_state,
     graph_choi_to_code,
     info_group,
-    subcode_bounds,
     verify_duality,
 )
-from .clifford import CliffordTableau, Gate, conjugate, pivot_to_x1
+from .clifford import Gate, conjugate, inverse_gates, pivot_to_x1
 from .crt import decompose_group, decompose_state, split_generator, split_pauli
 from .errors import QstabError
 from .modring import CrtSplit, Modulus, crt_combine, factorize, inv_mod
@@ -43,15 +43,15 @@ from .stabilizer import (
 )
 
 __all__ = [
-    "ChannelAnalysis", "CliffordTableau", "CodeSpec", "CrtSplit", "Gate",
+    "ChannelAnalysis", "CodeSpec", "CrtSplit", "Gate",
     "GraphAdjacency", "Modulus", "NormalForm", "Partition", "PauliProduct",
     "QstabError", "StabilizerGroup", "analyze_channel",
     "bipartition_normal_form", "centralizer_in_pauli", "code_to_choi_state",
     "conjugate", "crt_combine", "decompose_group", "decompose_state",
     "epr_group", "extract_epr_pair", "extract_ghz", "extract_unentangled",
     "factorize", "from_graph", "ghz_group", "graph_choi_to_code",
-    "info_group", "inv_mod", "pivot_to_x1", "reduced_rank", "split_generator",
-    "split_pauli", "subcode_bounds", "subgroup_on_part",
+    "info_group", "inv_mod", "inverse_gates", "is_exact", "pivot_to_x1",
+    "reduced_rank", "split_generator", "split_pauli", "subgroup_on_part",
     "tripartition_normal_form", "verify_duality",
 ]
 __version__ = "0.1.0"

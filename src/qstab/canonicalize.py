@@ -32,13 +32,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .clifford import (
-    CliffordTableau,
     Gate,
-    apply_gate,
-    compose,
     conjugate,
     gate_conjugate,
-    identity_tableau,
     pauli_x,
     pauli_z,
     pivot_part_gates,
@@ -111,7 +107,7 @@ class NormalForm:
     singles: tuple[tuple[int, int], ...]
     pairs: tuple[tuple[int, int, int, int], ...]
     triples: tuple[tuple[int, int, int], ...]
-    tableaux: tuple[CliffordTableau, ...]
+    circuits: tuple[tuple[Gate, ...], ...]
     factors: tuple[tuple[int, "NormalForm"], ...] = ()
     composite_counts_derived: bool = False
 
@@ -147,12 +143,17 @@ def normal_form_group(nf: NormalForm) -> StabilizerGroup:
     return StabilizerGroup(nf.d, nf.n, tuple(gens))
 
 
-def composed_tableau(nf: NormalForm) -> CliffordTableau:
-    """All per-part unitaries composed (their supports are disjoint)."""
-    total = nf.tableaux[0]
-    for t in nf.tableaux[1:]:
-        total = compose(total, t)
-    return total
+def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
+    """The input conjugated by the returned unitaries equals the normal-form
+    group bit-exactly (prime D).
+
+    The part circuits are replayed one after another over the input
+    generators; their supports are disjoint, so the order does not matter.
+    """
+    gates = [g for circuit in nf.circuits for g in circuit]
+    conjugated = StabilizerGroup(
+        group.d, group.n, tuple(conjugate(gates, g) for g in group.gens))
+    return canonical_form(conjugated) == canonical_form(normal_form_group(nf))
 
 
 class _Extraction:
@@ -164,8 +165,7 @@ class _Extraction:
         self.parts = [list(p) for p in partition.parts]
         self.active: list[PauliProduct] = list(
             reduce_generators(group.d, list(group.gens), group.n))
-        self.tabs: list[CliffordTableau] = [
-            identity_tableau(group.d, group.n) for _ in self.parts]
+        self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
         self.singles: list[tuple[int, int]] = []
         self.pairs: list[tuple[int, int, int, int]] = []
@@ -183,7 +183,7 @@ class _Extraction:
         for g in gates:
             if not set(g.qudits) <= allowed:
                 raise InternalInvariant("gate escapes its part's active qudits")
-            self.tabs[part_idx] = apply_gate(self.tabs[part_idx], g)
+            self.circuits[part_idx].append(g)
             self.active = [gate_conjugate(g, a) for a in self.active]
             tracked = [gate_conjugate(g, t) for t in tracked]
         return tracked
@@ -408,20 +408,12 @@ def _prime_normal_form(group: StabilizerGroup,
         m_ab=pair_counts[(0, 1)], m_ac=pair_counts[(0, 2)],
         m_bc=pair_counts[(1, 2)], m_abc=len(ctx.triples),
         singles=tuple(ctx.singles), pairs=tuple(ctx.pairs),
-        triples=tuple(ctx.triples), tableaux=tuple(ctx.tabs),
+        triples=tuple(ctx.triples),
+        circuits=tuple(tuple(c) for c in ctx.circuits),
     )
-    _verify_exact(group, nf)
-    return nf
-
-
-def _verify_exact(group: StabilizerGroup, nf: NormalForm) -> None:
-    """The input conjugated by the returned unitaries must equal the
-    normal-form group bit-exactly."""
-    total = composed_tableau(nf)
-    conjugated = StabilizerGroup(
-        group.d, group.n, tuple(conjugate(total, g) for g in group.gens))
-    if canonical_form(conjugated) != canonical_form(normal_form_group(nf)):
+    if not is_exact(group, nf):
         raise InternalInvariant("conjugated input differs from the normal form")
+    return nf
 
 
 def _composite_normal_form(group: StabilizerGroup,
@@ -435,7 +427,7 @@ def _composite_normal_form(group: StabilizerGroup,
         m_a=mins["m_A"], m_b=mins["m_B"], m_c=mins["m_C"],
         m_ab=mins["m_AB"], m_ac=mins["m_AC"], m_bc=mins["m_BC"],
         m_abc=mins["m_ABC"],
-        singles=(), pairs=(), triples=(), tableaux=(),
+        singles=(), pairs=(), triples=(), circuits=(),
         factors=tuple(factor_forms), composite_counts_derived=True,
     )
 
@@ -481,7 +473,7 @@ def _with_rest(n: int, parts: list[tuple[int, ...]]) -> Partition:
 
 
 def extract_unentangled(group: StabilizerGroup,
-                        part) -> tuple[StabilizerGroup, CliffordTableau, int]:
+                        part) -> tuple[StabilizerGroup, tuple[Gate, ...], int]:
     """Pull every unentangled single qudit out of `part` (prime D).
 
     Returns the conjugated group (extracted qudits carry bare X generators),
@@ -495,14 +487,14 @@ def extract_unentangled(group: StabilizerGroup,
         count += 1
     gens = tuple(ctx.active) + tuple(x_op(group.d, group.n, q)
                                      for q, _ in ctx.singles)
-    return StabilizerGroup(group.d, group.n, gens), ctx.tabs[0], count
+    return StabilizerGroup(group.d, group.n, gens), tuple(ctx.circuits[0]), count
 
 
 def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     """One EPR extraction across (part_x, part_y), or None when every pair of
     first-part components commutes (prime D).
 
-    Returns (conjugated group, (tab_x, tab_y), (qx, qy)); the extracted pair
+    Returns (conjugated group, (gates_x, gates_y), (qx, qy)); the extracted pair
     generators stay in the returned group on the retired qudits.
     """
     _require_prime(group.d)
@@ -515,7 +507,7 @@ def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     gens = tuple(ctx.active) + tuple(
         epr_pair_generators(group.d, group.n, qx, qy))
     return (StabilizerGroup(group.d, group.n, gens),
-            (ctx.tabs[0], ctx.tabs[1]), (qx, qy))
+            (tuple(ctx.circuits[0]), tuple(ctx.circuits[1])), (qx, qy))
 
 
 def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
@@ -547,5 +539,6 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
     qa, qb, qc = ctx.triples[0]
     gens = tuple(ctx.active) + tuple(
         ghz_generators(group.d, group.n, qa, qb, qc))
-    return (StabilizerGroup(group.d, group.n, gens), tuple(ctx.tabs),
+    return (StabilizerGroup(group.d, group.n, gens),
+            tuple(tuple(c) for c in ctx.circuits),
             (qa, qb, qc))

@@ -10,9 +10,9 @@ channel decomposition directly:
   EPR input<->C   depolarizing channel to B       (nothing transmitted)
 
 Input-side Pauli groups are stored in the transformed input basis; the
-input tableau is recorded so membership queries for original-basis operators
-conjugate through it first (the transpose enters because an input-side Choi
-unitary acts transposed on the isometry).
+input-side gate list is recorded so membership queries for original-basis
+operators conjugate through it first (the transpose enters because an
+input-side Choi unitary acts transposed on the isometry).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .canonicalize import NormalForm, tripartition_normal_form
-from .clifford import CliffordTableau, conjugate, cphase, inverse_tableau
+from .clifford import Gate, conjugate, cphase, inverse_gates
 from .errors import (
     InternalInvariant,
     InvalidCode,
@@ -38,7 +38,6 @@ from .pauli import (
     inverse,
     multiply,
     phase_op,
-    restrict,
     x_op,
 )
 from .stabilizer import (
@@ -156,7 +155,7 @@ class ChannelAnalysis:
     m_c: int
     info_b: tuple[PauliProduct, ...]
     info_c: tuple[PauliProduct, ...]
-    input_tableau: CliffordTableau
+    input_gates: tuple[Gate, ...]
 
     @property
     def q_b(self) -> int:
@@ -208,7 +207,7 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
         m_abc=nf.m_abc, m_ab=nf.m_ab, m_ac=nf.m_ac, m_bc=nf.m_bc,
         m_b=nf.m_b, m_c=nf.m_c,
         info_b=info_b, info_c=info_c,
-        input_tableau=nf.tableaux[0],
+        input_gates=nf.circuits[0],
     )
 
 
@@ -307,39 +306,6 @@ def to_original_input_basis(analysis: ChannelAnalysis,
     """
     if p.n != analysis.code.k:
         raise ShapeMismatch("operator must live on the k input qudits")
-    k = analysis.code.k
-    total = analysis.code.k + analysis.code.n
-    wide = embed(p, total, list(range(k)))
-    inv_tab = inverse_tableau(analysis.input_tableau)
-    mapped = transpose_pauli(conjugate(inv_tab, transpose_pauli(wide)))
-    return restrict(mapped, list(range(k)))
-
-
-@dataclass(frozen=True)
-class CapacityBounds:
-    """Lower bounds from a subcode: its capacities bound the enclosing
-    channel's from below."""
-
-    analysis: ChannelAnalysis
-
-    @property
-    def q_b(self) -> int:
-        return self.analysis.q_b
-
-    @property
-    def c_b(self) -> int:
-        return self.analysis.c_b
-
-    @property
-    def q_c(self) -> int:
-        return self.analysis.q_c
-
-    @property
-    def c_c(self) -> int:
-        return self.analysis.c_c
-
-
-def subcode_bounds(sub: CodeSpec, out_b, out_c) -> CapacityBounds:
-    """Capacity lower bounds for any channel whose coding space contains the
-    given stabilizer subcode."""
-    return CapacityBounds(analyze_channel(sub, out_b, out_c))
+    # W acts on the inputs, qudits 0..k-1 of the Choi register, alone
+    inv = inverse_gates(analysis.input_gates, analysis.code.d)
+    return transpose_pauli(conjugate(inv, transpose_pauli(p)))

@@ -2,8 +2,9 @@
 
 Verbs: canonicalize, crt-decompose, channel, oracle-verify, random-state,
 random-code. All outputs are stable-ordered text, pure functions of the
-input bytes and the seed. Exit codes: 0 success, 1 domain error (the error
-class name goes to stderr) or verification mismatch, 2 usage error.
+input bytes and the seed. Exit codes: 0 success, 1 domain error or unreadable
+file (the error class name goes to stderr) or verification mismatch, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import formats, randgen, verify
 from .canonicalize import bipartition_normal_form, tripartition_normal_form
-from .channel import CodeSpec, analyze_channel, code_to_choi_state, subcode_bounds
+from .channel import CodeSpec, analyze_channel, code_to_choi_state
 from .crt import decompose_state
 from .errors import QstabError
 
@@ -56,10 +57,9 @@ def _cmd_canonicalize(args) -> int:
     if args.emit_gates:
         sources = nf.factors if nf.factors else [(nf.d, nf)]
         for p, sub in sources:
-            for i, tab in enumerate(sub.tableaux):
+            for i, circuit in enumerate(sub.circuits):
                 path = f"{args.emit_gates}.p{p}.part{i + 1}.gates"
-                Path(path).write_text(
-                    formats.render_gates(p, nf.n, tab.gate_log))
+                Path(path).write_text(formats.render_gates(p, nf.n, circuit))
     _emit(formats.render_normal_form(nf), args.out)
     return 0
 
@@ -80,10 +80,7 @@ def _cmd_channel(args) -> int:
     code = formats.parse_code(Path(args.code).read_text())
     out_b = _parse_index_list(args.B)
     out_c = _parse_index_list(args.C)
-    if args.bounds:
-        analysis = subcode_bounds(code, out_b, out_c).analysis
-    else:
-        analysis = analyze_channel(code, out_b, out_c)
+    analysis = analyze_channel(code, out_b, out_c)
     if args.verify:
         verify.require_all(verify.verify_channel_analysis(analysis))
     if args.emit_choi:
@@ -145,7 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="EPR/GHZ normal form of a bi- or tripartition")
     p.add_argument("--state", required=True, help="stabilizer file")
     p.add_argument("--parts", required=True,
-                   help="slash-separated 1-based index groups, e.g. 1,2/3/4")
+                   help="slash-separated 1-based index groups, e.g. 1,2/3/4; "
+                        "'-' marks an empty part, and a leading one needs "
+                        "the '=' form: --parts=-/1,2")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--emit-gates",
                    help="also write per-part gate-list files with this prefix")
@@ -199,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QstabError as exc:
+    except (QstabError, OSError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

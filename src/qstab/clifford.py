@@ -1,8 +1,8 @@
-"""Clifford unitaries as conjugation tableaux with replayable gate logs.
+"""Clifford unitaries as gate lists: the alphabet, conjugation, inversion, pivoting.
 
-A tableau stores the images of the 2n Pauli generators under U . U^dag plus
-the ordered list of elementary gates that produced it, so every canonicalization
-result is a human-auditable circuit. The gate alphabet:
+A Clifford is the ordered list of elementary gates that applies it, so every
+canonicalization result is a human-auditable circuit; conjugating a Pauli by
+it replays the list gate by gate. The gate alphabet:
 
     F q        Fourier gate:        Z -> X,  X -> Z^{-1}
     S q a      multiplicative gate: Z -> Z^a, X -> X^{a^{-1}}   (a invertible)
@@ -13,7 +13,7 @@ result is a human-auditable circuit. The gate alphabet:
     CNOT q r   controlled shift:    X_q -> X_q X_r^{-1}, Z_r -> Z_q Z_r
 
 All rules are exact on (x, z, gamma); the derivations fix gamma increments so
-that tableau conjugation agrees entrywise with dense matrix conjugation.
+that gate-list conjugation agrees entrywise with dense matrix conjugation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import inv_mod, is_prime
-from .pauli import PauliProduct, multiply, power, x_op, z_op
+from .pauli import PauliProduct, x_op, z_op
 
 GATE_NAMES = ("F", "S", "W", "X", "Z", "CP", "CNOT")
 
@@ -121,91 +121,14 @@ def gate_conjugate(gate: Gate, p: PauliProduct) -> PauliProduct:
     return PauliProduct(d, gamma, tuple(x), tuple(z))
 
 
-def _check_gate(gate: Gate, d: int, n: int) -> None:
-    for q in gate.qudits:
-        if not 0 <= q < n:
-            raise IndexOutOfRange(f"qudit {q} outside register of size {n}")
-    if gate.name == "S":
-        inv_mod(gate.param, d)  # raises NotInvertible for bad alpha
-    if gate.name in ("CP", "CNOT") and gate.qudits[0] == gate.qudits[1]:
-        raise IndexOutOfRange(f"{gate.name} needs distinct qudits")
-
-
-@dataclass(frozen=True)
-class CliffordTableau:
-    """Images of the X_i and Z_i generators under U . U^dag, plus gate log."""
-
-    d: int
-    n: int
-    image_x: tuple[PauliProduct, ...]
-    image_z: tuple[PauliProduct, ...]
-    gate_log: tuple[Gate, ...]
-
-
-def identity_tableau(d: int, n: int) -> CliffordTableau:
-    return CliffordTableau(
-        d, n,
-        tuple(x_op(d, n, i) for i in range(n)),
-        tuple(z_op(d, n, i) for i in range(n)),
-        (),
-    )
-
-
-def apply_gate(tab: CliffordTableau, gate: Gate) -> CliffordTableau:
-    """Tableau of (gate * U) given the tableau of U."""
-    _check_gate(gate, tab.d, tab.n)
-    return CliffordTableau(
-        tab.d, tab.n,
-        tuple(gate_conjugate(gate, p) for p in tab.image_x),
-        tuple(gate_conjugate(gate, p) for p in tab.image_z),
-        tab.gate_log + (gate,),
-    )
-
-
-def apply_gates(tab: CliffordTableau, gates) -> CliffordTableau:
-    for g in gates:
-        tab = apply_gate(tab, g)
-    return tab
-
-
-def from_gates(d: int, n: int, gates) -> CliffordTableau:
-    return apply_gates(identity_tableau(d, n), gates)
-
-
-def conjugate(tab: CliffordTableau, p: PauliProduct) -> PauliProduct:
-    """U p U^dag, expanding p over the generator images with exact phases."""
-    if p.d != tab.d or p.n != tab.n:
-        raise ShapeMismatch(
-            f"pauli (D={p.d}, n={p.n}) vs tableau (D={tab.d}, n={tab.n})")
-    out = PauliProduct(tab.d, p.gamma, (0,) * tab.n, (0,) * tab.n)
-    for i in range(tab.n):
-        if p.x[i]:
-            out = multiply(out, power(tab.image_x[i], p.x[i]))
-        if p.z[i]:
-            out = multiply(out, power(tab.image_z[i], p.z[i]))
-    return out
-
-
-def conjugate_by_gates(gates, p: PauliProduct) -> PauliProduct:
-    """Replay a gate list over a single Pauli (equivalent to conjugate)."""
+def conjugate(gates, p: PauliProduct) -> PauliProduct:
+    """U p U^dag for the circuit U that applies `gates` in list order."""
     for g in gates:
         p = gate_conjugate(g, p)
     return p
 
 
-def compose(t1: CliffordTableau, t2: CliffordTableau) -> CliffordTableau:
-    """Tableau of U1 * U2 (t1 applied after t2)."""
-    if t1.d != t2.d or t1.n != t2.n:
-        raise ShapeMismatch("tableau shapes differ")
-    return CliffordTableau(
-        t1.d, t1.n,
-        tuple(conjugate(t1, p) for p in t2.image_x),
-        tuple(conjugate(t1, p) for p in t2.image_z),
-        t2.gate_log + t1.gate_log,
-    )
-
-
-def _inverse_gates(gate: Gate, d: int) -> list[Gate]:
+def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     """Expand one gate's inverse in the same alphabet (no dagger forms)."""
     if gate.name == "F":
         return [gate] * 3
@@ -225,12 +148,9 @@ def _inverse_gates(gate: Gate, d: int) -> list[Gate]:
     raise ShapeMismatch(f"unknown gate {gate.name!r}")
 
 
-def inverse_tableau(tab: CliffordTableau) -> CliffordTableau:
-    """Tableau of U^{-1}: reversed gate log with each gate inverted."""
-    gates: list[Gate] = []
-    for g in reversed(tab.gate_log):
-        gates.extend(_inverse_gates(g, tab.d))
-    return from_gates(tab.d, tab.n, gates)
+def inverse_gates(gates, d: int) -> tuple[Gate, ...]:
+    """Circuit of U^{-1}: the gates reversed, each one inverted."""
+    return tuple(inv for g in reversed(gates) for inv in _inverse_gate(g, d))
 
 
 def _pivot_gates_step(p: PauliProduct, q: int) -> tuple[list[Gate], PauliProduct]:
@@ -308,8 +228,8 @@ def pivot_part_gates(p: PauliProduct, part, target: int,
 
 
 def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
-                want_z: bool = False) -> CliffordTableau:
-    """Clifford supported on `part` mapping p to exactly X_target (or Z_target).
+                want_z: bool = False) -> tuple[Gate, ...]:
+    """Gates on `part` mapping p to exactly X_target (or Z_target).
 
     Requires prime D, p supported inside `part`, and p^D = I so the residual
     phase is an omega power removable by trailing Pauli conjugations.
@@ -338,4 +258,4 @@ def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
     expected = (z_op(p.d, p.n, target) if want_z else x_op(p.d, p.n, target))
     if moved != expected:
         raise InvalidStabilizer("pivot failed to normalize the operator")
-    return from_gates(p.d, p.n, gates)
+    return tuple(gates)

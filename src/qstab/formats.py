@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .canonicalize import NormalForm
 from .channel import ChannelAnalysis, CodeSpec
-from .clifford import Gate, from_gates
+from .clifford import Gate
 from .errors import FormatError
+from .modring import factorize
 from .pauli import PauliProduct, from_text, to_text
 from .stabilizer import GraphAdjacency, StabilizerGroup
 
@@ -39,9 +40,12 @@ def _header_ints(line: str, keys: tuple[str, ...]) -> list[int]:
     if len(toks) != 2 * len(keys) or tuple(toks[::2]) != keys:
         raise FormatError(f"expected header {' '.join(keys)}, got {line!r}")
     try:
-        return [int(t) for t in toks[1::2]]
+        vals = [int(t) for t in toks[1::2]]
     except ValueError as exc:
         raise FormatError(f"bad integer in header {line!r}") from exc
+    if "D" in keys:
+        factorize(vals[keys.index("D")])  # raises InvalidDimension
+    return vals
 
 
 # ---------------------------------------------------------------- stabilizer
@@ -176,9 +180,9 @@ def _render_nf_body(nf: NormalForm) -> list[str]:
     out = []
     for key, val in nf.counts.items():
         out.append(f"{key} {val}")
-    for i, tab in enumerate(nf.tableaux):
-        out.append(f"tableau {i + 1} gates {len(tab.gate_log)}")
-        out.extend(render_gate(g) for g in tab.gate_log)
+    for i, circuit in enumerate(nf.circuits):
+        out.append(f"tableau {i + 1} gates {len(circuit)}")
+        out.extend(render_gate(g) for g in circuit)
     out.append(f"singles {len(nf.singles)}")
     for q, pi in nf.singles:
         out.append(f"single {q + 1} {pi + 1}")
@@ -222,22 +226,21 @@ class _Cursor:
 _COUNT_KEYS = ("m_A", "m_B", "m_C", "m_AB", "m_AC", "m_BC", "m_ABC")
 
 
-def _parse_nf_body(cur: _Cursor, d: int, n: int, parts) -> dict:
+def _parse_nf_body(cur: _Cursor) -> dict:
     counts = {}
     for key in _COUNT_KEYS:
         toks = cur.take().split()
         if len(toks) != 2 or toks[0] != key:
             raise FormatError(f"expected '{key} <count>'")
         counts[key] = int(toks[1])
-    tableaux = []
+    circuits = []
     while True:
         nxt = cur.peek()
         if nxt is None or not nxt.startswith("tableau "):
             break
         toks = cur.take().split()
         count = int(toks[3])
-        gates = [parse_gate(cur.take()) for _ in range(count)]
-        tableaux.append(from_gates(d, n, gates))
+        circuits.append(tuple(parse_gate(cur.take()) for _ in range(count)))
     singles = []
     toks = cur.take().split()
     if toks[0] != "singles":
@@ -260,7 +263,7 @@ def _parse_nf_body(cur: _Cursor, d: int, n: int, parts) -> dict:
         t = cur.take().split()
         triples.append((int(t[1]) - 1, int(t[2]) - 1, int(t[3]) - 1))
     return {"counts": counts, "singles": tuple(singles), "pairs": tuple(pairs),
-            "triples": tuple(triples), "tableaux": tuple(tableaux)}
+            "triples": tuple(triples), "circuits": tuple(circuits)}
 
 
 def _nf_from_body(d: int, n: int, parts, body: dict, factors=(),
@@ -271,7 +274,7 @@ def _nf_from_body(d: int, n: int, parts, body: dict, factors=(),
         m_a=c["m_A"], m_b=c["m_B"], m_c=c["m_C"],
         m_ab=c["m_AB"], m_ac=c["m_AC"], m_bc=c["m_BC"], m_abc=c["m_ABC"],
         singles=body["singles"], pairs=body["pairs"], triples=body["triples"],
-        tableaux=body["tableaux"], factors=tuple(factors),
+        circuits=body["circuits"], factors=tuple(factors),
         composite_counts_derived=derived,
     )
 
@@ -302,11 +305,11 @@ def parse_normal_form(text: str) -> NormalForm:
     if cur.peek() == "composite-min true":
         cur.take()
         derived = True
-    body = _parse_nf_body(cur, d, n, parts)
+    body = _parse_nf_body(cur)
     factors = []
     while cur.peek() is not None and cur.peek().startswith("factor "):
         p = int(cur.take().split()[1])
-        sub_body = _parse_nf_body(cur, p, n, parts)
+        sub_body = _parse_nf_body(cur)
         if cur.take() != "end-factor":
             raise FormatError("expected end-factor")
         factors.append((p, _nf_from_body(p, n, parts, sub_body)))
@@ -346,7 +349,7 @@ def report_from_analysis(analysis: ChannelAnalysis,
         m_abc=analysis.m_abc, m_ab=analysis.m_ab, m_ac=analysis.m_ac,
         m_bc=analysis.m_bc, m_b=analysis.m_b, m_c=analysis.m_c,
         info_b=analysis.info_b, info_c=analysis.info_c,
-        input_gates=tuple(analysis.input_tableau.gate_log),
+        input_gates=analysis.input_gates,
         bounds=bounds,
     )
 

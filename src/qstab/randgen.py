@@ -90,6 +90,7 @@ def scramble_group(group: StabilizerGroup, gates) -> StabilizerGroup:
 
 def random_state(d: int, n: int, seed: int) -> StabilizerGroup:
     """Seed-deterministic random stabilizer state on n qudits."""
+    factorize(d)  # raises InvalidDimension
     rng = random.Random(seed)
     group = from_graph(random_graph(d, n, rng), d)
     gates = random_single_qudit_gates(d, range(n), rng, 3 * n)

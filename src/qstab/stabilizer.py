@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .clifford import CliffordTableau, conjugate
 from .errors import (
     InvalidStabilizer,
     NotAState,
@@ -179,12 +178,6 @@ def canonical_form(group: StabilizerGroup) -> tuple[str, ...]:
 
 def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
     return canonical_form(a) == canonical_form(b)
-
-
-def canonicalized(group: StabilizerGroup) -> StabilizerGroup:
-    return StabilizerGroup(
-        group.d, group.n,
-        tuple(reduce_generators(group.d, list(group.gens), group.n)))
 
 
 def elements(group: StabilizerGroup):
@@ -357,17 +350,6 @@ def ghz_group(d: int) -> StabilizerGroup:
 
 def plus_state_group(d: int, n: int) -> StabilizerGroup:
     return StabilizerGroup(d, n, tuple(x_op(d, n, i) for i in range(n)))
-
-
-def conjugate_group(tab: CliffordTableau, group: StabilizerGroup) -> StabilizerGroup:
-    if tab.d != group.d or tab.n != group.n:
-        raise ShapeMismatch("tableau shape differs from group shape")
-    return StabilizerGroup(group.d, group.n,
-                           tuple(conjugate(tab, g) for g in group.gens))
-
-
-def single_qudit_plus(d: int, n: int, qudit: int) -> PauliProduct:
-    return x_op(d, n, qudit)
 
 
 def epr_pair_generators(d: int, n: int, qx: int, qy: int) -> list[PauliProduct]:

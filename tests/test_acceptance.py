@@ -15,7 +15,6 @@ import pytest
 from qstab import linalg, oracle
 from qstab.canonicalize import (
     bipartition_normal_form,
-    composed_tableau,
     normal_form_group,
     tripartition_normal_form,
 )
@@ -23,7 +22,6 @@ from qstab.channel import (
     CodeSpec,
     analyze_channel,
     info_group,
-    subcode_bounds,
     to_original_input_basis,
     verify_duality,
 )
@@ -47,6 +45,11 @@ from qstab.stabilizer import (
 
 # largest n with D^n inside the dense-oracle cap, per dimension
 DENSE_N_CAP = {2: 6, 3: 6, 5: 5, 6: 4, 10: 3}
+
+
+def _all_gates(nf):
+    """The part circuits replayed one after another (disjoint supports)."""
+    return [g for circuit in nf.circuits for g in circuit]
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -151,13 +154,13 @@ def test_04_exactness_of_unitaries(random_case_results):
             for (p, sub_nf), (p2, sub_state) in zip(nf.factors,
                                                     decompose_state(state)):
                 conj = StabilizerGroup(
-                    p, n, tuple(conjugate(composed_tableau(sub_nf), g)
+                    p, n, tuple(conjugate(_all_gates(sub_nf), g)
                                 for g in sub_state.gens))
                 ok = ok and p == p2 and canonical_form(conj) == \
                     canonical_form(normal_form_group(sub_nf))
         else:
             conj = StabilizerGroup(
-                d, n, tuple(conjugate(composed_tableau(nf), g)
+                d, n, tuple(conjugate(_all_gates(nf), g)
                             for g in state.gens))
             ok = ok and canonical_form(conj) == \
                 canonical_form(normal_form_group(nf))
@@ -258,11 +261,11 @@ def test_09_pentagon_bounds():
                   (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
     v1 = CodeSpec(5, 1, 2, pent,
                   (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))
-    b0 = subcode_bounds(v0, [0, 1], [2, 3, 4])
-    b1 = subcode_bounds(v1, [0, 1], [2, 3, 4])
-    ok = (b0.analysis.bits(b0.q_c) >= 1.0
-          and b1.analysis.bits(b1.c_b) >= 1.0
-          and b1.analysis.bits(b1.c_c) >= 1.0)
+    b0 = analyze_channel(v0, [0, 1], [2, 3, 4])
+    b1 = analyze_channel(v1, [0, 1], [2, 3, 4])
+    ok = (b0.bits(b0.q_c) >= 1.0
+          and b1.bits(b1.c_b) >= 1.0
+          and b1.bits(b1.c_c) >= 1.0)
     _report(9, "pentagon subcodes: first gives Q_C >= 1 bit, second gives "
                "C_B >= 1 and C_C >= 1 bit", ok)
 

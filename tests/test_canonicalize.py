@@ -8,7 +8,6 @@ import pytest
 from qstab import oracle
 from qstab.canonicalize import (
     bipartition_normal_form,
-    composed_tableau,
     extract_epr_pair,
     extract_ghz,
     extract_unentangled,
@@ -39,6 +38,11 @@ from qstab.stabilizer import (
     subgroup_on_part,
     tensor_groups,
 )
+
+
+def all_gates(nf):
+    """The part circuits replayed one after another (disjoint supports)."""
+    return [g for circuit in nf.circuits for g in circuit]
 
 
 def eq100_s1(d):
@@ -147,9 +151,9 @@ def test_not_a_state():
 def test_extract_unentangled_prefactored():
     for d in (2, 3, 5):
         s = tensor_groups(plus_state_group(d, 1), epr_group(d))
-        remainder, tab, count = extract_unentangled(s, [0])
+        remainder, gates, count = extract_unentangled(s, [0])
         assert count == 1
-        assert tab.gate_log == ()  # X_0 is already a bare generator
+        assert gates == ()  # X_0 is already a bare generator
         sub = subgroup_on_part(remainder, [1, 2])
         assert groups_equal(
             StabilizerGroup(d, 3, sub.gens),
@@ -161,15 +165,15 @@ def test_extract_unentangled_prefactored():
 def test_extract_unentangled_hidden():
     # the controlled-phase-scrambled state needs an actual unitary
     for d in (2, 3, 5):
-        remainder, tab, count = extract_unentangled(eq100_s2(d), [0, 1])
+        remainder, gates, count = extract_unentangled(eq100_s2(d), [0, 1])
         assert count == 1
-        assert len(tab.gate_log) > 0
+        assert len(gates) > 0
 
 
 def test_extract_unentangled_maximally_entangled():
     for d in (2, 3, 5):
-        _, tab, count = extract_unentangled(epr_group(d), [0])
-        assert count == 0 and tab.gate_log == ()
+        _, gates, count = extract_unentangled(epr_group(d), [0])
+        assert count == 0 and gates == ()
 
 
 def test_extract_epr_product_state():
@@ -178,7 +182,7 @@ def test_extract_epr_product_state():
         s = tensor_groups(epr_group(d), ghz_group(d))
         out = extract_epr_pair(s, [0, 2], [1, 3])
         assert out is not None
-        _, tabs, (qx, qy) = out
+        _, circuits, (qx, qy) = out
         assert (qx, qy) == (0, 1)
 
 
@@ -191,7 +195,7 @@ def test_extract_ghz_once():
     for d in (2, 3, 5):
         out = extract_ghz(ghz_group(d), [0], [1], [2])
         assert out is not None
-        remainder, tabs, (qa, qb, qc) = out
+        remainder, circuits, (qa, qb, qc) = out
         assert (qa, qb, qc) == (0, 1, 2)
         assert groups_equal(remainder, ghz_group(d))
 
@@ -303,7 +307,7 @@ def test_exactness_explicitly():
             a, b, c = random_partition(5, 3, seed + 3)
             nf = tripartition_normal_form(s, a, b, c)
             conj = StabilizerGroup(
-                d, 5, tuple(conjugate(composed_tableau(nf), g)
+                d, 5, tuple(conjugate(all_gates(nf), g)
                             for g in s.gens))
             assert canonical_form(conj) == canonical_form(normal_form_group(nf))
 
@@ -342,6 +346,6 @@ def test_tableaux_supported_on_their_parts():
         s = random_state(d, 5, d)
         a, b, c = [0, 1], [2, 4], [3]
         nf = tripartition_normal_form(s, a, b, c)
-        for part, tab in zip((a, b, c), nf.tableaux):
-            for g in tab.gate_log:
+        for part, circuit in zip((a, b, c), nf.circuits):
+            for g in circuit:
                 assert set(g.qudits) <= set(part)

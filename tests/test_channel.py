@@ -15,7 +15,6 @@ from qstab.channel import (
     graph_choi_to_code,
     info_group,
     pauli_groups_equal,
-    subcode_bounds,
     to_original_input_basis,
     transpose_pauli,
     verify_duality,
@@ -139,17 +138,17 @@ def test_eq360_worked_example():
 def test_pentagon_subcode_bounds():
     v0 = CodeSpec(5, 1, 2, PENTAGON,
                   (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
-    b0 = subcode_bounds(v0, [0, 1], [2, 3, 4])
+    b0 = analyze_channel(v0, [0, 1], [2, 3, 4])
     assert b0.q_c >= 1
     v1 = CodeSpec(5, 1, 2, PENTAGON,
                   (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))
-    b1 = subcode_bounds(v1, [0, 1], [2, 3, 4])
+    b1 = analyze_channel(v1, [0, 1], [2, 3, 4])
     assert b1.c_b >= 1 and b1.c_c >= 1
 
 
 def test_zero_k_code_bounds():
     code = CodeSpec(3, 0, 2, GraphAdjacency.from_edges(3, [(0, 1, 1)]), ())
-    b = subcode_bounds(code, [0], [1, 2])
+    b = analyze_channel(code, [0], [1, 2])
     assert (b.q_b, b.c_b, b.q_c, b.c_c) == (0, 0, 0, 0)
 
 

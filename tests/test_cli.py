@@ -138,17 +138,22 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
     run_cli(["canonicalize", "--state", str(state), "--parts", "1,2/3/4",
              "--out", str(report)], capsys)
     text = report.read_text()
-    lines = text.splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("m_A "):
-            val = int(ln.split()[1])
-            lines[i] = f"m_A {val + 1}"
-            break
-    report.write_text("\n".join(lines) + "\n")
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
-                          "--state", str(state)], capsys)
+
+    def tamper(prefix, change):
+        lines = text.splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[i] = change(lines[i].split())
+        report.write_text("\n".join(lines) + "\n")
+        return run_cli(["oracle-verify", "--report", str(report),
+                        "--state", str(state)], capsys)
+
+    rc, out, _ = tamper("m_A ", lambda t: f"m_A {int(t[1]) + 1}")
     assert rc == 1
     assert "MISMATCH" in out
+    # the other unit of Z_3 in an `S q a` gate: only the replay can see it
+    rc, out, _ = tamper("S ", lambda t: f"S {t[1]} {3 - int(t[2])}")
+    assert rc == 1
+    assert "exactness: MISMATCH" in out
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
@@ -161,6 +166,40 @@ def test_domain_error_exit_code(tmp_path, capsys):
                           "--parts", "1/1,2/3"], capsys)
     assert rc == 1
     assert "ShapeMismatch" in err
+
+
+def test_bad_dimension_is_a_domain_error(tmp_path, capsys):
+    state = tmp_path / "d0.stab"
+    state.write_text("QSTAB1 stabilizer\nD 0 n 1 gens 1\n0 | 1 | 0\n")
+    rc, _, err = run_cli(["canonicalize", "--state", str(state),
+                          "--parts", "1/-"], capsys)
+    assert rc == 1
+    assert err.startswith("InvalidDimension:")
+    rc, _, err = run_cli(["random-state", "--D", "0", "--n", "2",
+                          "--seed", "1"], capsys)
+    assert rc == 1
+    assert err.startswith("InvalidDimension:")
+
+
+def test_missing_file_is_a_domain_error(tmp_path, capsys):
+    rc, _, err = run_cli(["canonicalize", "--state",
+                          str(tmp_path / "missing.stab"), "--parts", "1/2"],
+                         capsys)
+    assert rc == 1
+    assert err.startswith("FileNotFoundError:")
+    assert err.count("\n") == 1
+
+
+def test_leading_empty_part(tmp_path, capsys):
+    from qstab import formats
+    from qstab.stabilizer import ghz_group
+
+    state = tmp_path / "ghz.stab"
+    state.write_text(formats.render_stabilizer(ghz_group(3)))
+    rc, out, _ = run_cli(["canonicalize", "--state", str(state),
+                          "--parts=-/1,2/3"], capsys)
+    assert rc == 0
+    assert "part 1 -" in out and "m_BC 1" in out
 
 
 def test_usage_error_exit_code():

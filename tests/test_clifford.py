@@ -1,4 +1,5 @@
-"""Clifford tableaux: gate rules, composition, pivoting, dense agreement."""
+"""Clifford gate lists: gate rules, composition, inversion, pivoting, dense
+agreement."""
 
 import random
 
@@ -6,17 +7,12 @@ import pytest
 
 from qstab import oracle
 from qstab.clifford import (
-    apply_gate,
     cnot,
-    compose,
     conjugate,
-    conjugate_by_gates,
     cphase,
     fourier,
-    from_gates,
     gate_conjugate,
-    identity_tableau,
-    inverse_tableau,
+    inverse_gates,
     pauli_x,
     pauli_z,
     phase_w,
@@ -25,13 +21,39 @@ from qstab.clifford import (
 )
 from qstab.errors import IdentityOnPart, NonPrimeD, NotInvertible
 from qstab.modring import inv_mod
-from qstab.pauli import from_exponents, identity, order, x_op, z_op
+from qstab.pauli import (
+    from_exponents,
+    identity,
+    multiply,
+    order,
+    power,
+    x_op,
+    z_op,
+)
 
 
 def random_pauli(rng, d, n):
     return from_exponents(d, [rng.randrange(d) for _ in range(n)],
                           [rng.randrange(d) for _ in range(n)],
                           rng.randrange(2 * d))
+
+
+def images(gates, d, n):
+    """Images of the X_i and Z_i generators under the circuit."""
+    return ([conjugate(gates, x_op(d, n, i)) for i in range(n)],
+            [conjugate(gates, z_op(d, n, i)) for i in range(n)])
+
+
+def via_images(gates, p):
+    """U p U^dag expanded over the generator images with exact phases."""
+    image_x, image_z = images(gates, p.d, p.n)
+    out = from_exponents(p.d, (0,) * p.n, (0,) * p.n, p.gamma)
+    for i in range(p.n):
+        if p.x[i]:
+            out = multiply(out, power(image_x[i], p.x[i]))
+        if p.z[i]:
+            out = multiply(out, power(image_z[i], p.z[i]))
+    return out
 
 
 def random_gates(rng, d, n, count):
@@ -82,7 +104,7 @@ def test_smult_table_rows():
 
 def test_smult_rejects_non_invertible():
     with pytest.raises(NotInvertible):
-        apply_gate(identity_tableau(6, 1), smult(0, 2))
+        conjugate([smult(0, 2)], x_op(6, 1, 0))
 
 
 def test_phase_w_table_rows():
@@ -99,10 +121,10 @@ def test_phase_w_table_rows():
 def test_cnot_equals_fourier_conjugated_cphase():
     # CNOT = (I (x) F) CP (I (x) F)^dag, as conjugation maps
     for d in (2, 3, 5, 6):
-        lhs = from_gates(d, 2, [cnot(0, 1)])
-        rhs = from_gates(d, 2, [fourier(1)] * 3 + [cphase(0, 1, 1), fourier(1)])
-        assert lhs.image_x == rhs.image_x
-        assert lhs.image_z == rhs.image_z
+        lhs = images([cnot(0, 1)], d, 2)
+        rhs = images([fourier(1)] * 3 + [cphase(0, 1, 1), fourier(1)], d, 2)
+        assert lhs[0] == rhs[0]
+        assert lhs[1] == rhs[1]
 
 
 def test_conjugate_via_images_equals_gate_replay():
@@ -111,9 +133,8 @@ def test_conjugate_via_images_equals_gate_replay():
         for _ in range(10):
             n = rng.randrange(1, 4)
             gates = random_gates(rng, d, n, 8)
-            tab = from_gates(d, n, gates)
             p = random_pauli(rng, d, n)
-            assert conjugate(tab, p) == conjugate_by_gates(gates, p)
+            assert via_images(gates, p) == conjugate(gates, p)
 
 
 def test_conjugate_matches_dense():
@@ -122,26 +143,25 @@ def test_conjugate_matches_dense():
         for _ in range(8):
             n = rng.randrange(1, 4)
             gates = random_gates(rng, d, n, 6)
-            tab = from_gates(d, n, gates)
             u = oracle.clifford_matrix(d, n, gates)
             p = random_pauli(rng, d, n)
             lhs = u @ oracle.pauli_matrix(p) @ u.conj().T
-            assert oracle.matrices_equal(lhs, oracle.pauli_matrix(conjugate(tab, p)))
+            assert oracle.matrices_equal(lhs, oracle.pauli_matrix(conjugate(gates, p)))
 
 
 def test_identity_tableau_fixes_everything():
     rng = random.Random(13)
     for d in (2, 6):
         p = random_pauli(rng, d, 3)
-        assert conjugate(identity_tableau(d, 3), p) == p
+        assert conjugate([], p) == p
 
 
 def test_fourier_fourth_power_is_identity():
     # independent oracle: dense matrix replay
     for d in (2, 3, 5, 6):
-        tab = from_gates(d, 1, [fourier(0)] * 4)
-        assert tab.image_x == identity_tableau(d, 1).image_x
-        assert tab.image_z == identity_tableau(d, 1).image_z
+        four = images([fourier(0)] * 4, d, 1)
+        assert four[0] == images([], d, 1)[0]
+        assert four[1] == images([], d, 1)[1]
         u = oracle.clifford_matrix(d, 1, [fourier(0)] * 4)
         assert oracle.matrices_equal(u, oracle.clifford_matrix(d, 1, []))
 
@@ -150,25 +170,27 @@ def test_compose_and_inverse():
     rng = random.Random(14)
     for d in (2, 3, 5, 6):
         n = 2
-        t1 = from_gates(d, n, random_gates(rng, d, n, 6))
-        t2 = from_gates(d, n, random_gates(rng, d, n, 6))
-        both = compose(t1, t2)
+        g1 = random_gates(rng, d, n, 6)
+        g2 = random_gates(rng, d, n, 6)
+        both = g2 + g1  # U1 U2: the circuit of U2 runs first
         p = random_pauli(rng, d, n)
-        assert conjugate(both, p) == conjugate(t1, conjugate(t2, p))
-        inv = inverse_tableau(t1)
-        round_trip = compose(t1, inv)
-        ident = identity_tableau(d, n)
-        assert round_trip.image_x == ident.image_x
-        assert round_trip.image_z == ident.image_z
+        assert conjugate(both, p) == conjugate(g1, conjugate(g2, p))
+        ident = images([], d, n)
+        for round_trip in (g1 + list(inverse_gates(g1, d)),
+                           list(inverse_gates(g1, d)) + g1):
+            assert images(round_trip, d, n)[0] == ident[0]
+            assert images(round_trip, d, n)[1] == ident[1]
 
 
 def test_compose_associative():
     rng = random.Random(15)
     d, n = 3, 2
-    tabs = [from_gates(d, n, random_gates(rng, d, n, 5)) for _ in range(3)]
-    left = compose(compose(tabs[0], tabs[1]), tabs[2])
-    right = compose(tabs[0], compose(tabs[1], tabs[2]))
-    assert left.image_x == right.image_x and left.image_z == right.image_z
+    gs = [random_gates(rng, d, n, 5) for _ in range(3)]
+    p = random_pauli(rng, d, n)
+    # (U0 U1) U2 and U0 (U1 U2): the circuit of U2 runs first
+    left = conjugate(gs[1] + gs[0], conjugate(gs[2], p))
+    right = conjugate(gs[0], conjugate(gs[2] + gs[1], p))
+    assert left == right == conjugate(gs[2] + gs[1] + gs[0], p)
 
 
 def test_symplectic_and_order_preservation():
@@ -177,36 +199,34 @@ def test_symplectic_and_order_preservation():
     rng = random.Random(16)
     for d in (2, 3, 5, 6):
         n = 3
-        tab = from_gates(d, n, random_gates(rng, d, n, 10))
+        gates = random_gates(rng, d, n, 10)
         for _ in range(10):
             p, q = random_pauli(rng, d, n), random_pauli(rng, d, n)
             assert commutation_phase(p, q) == commutation_phase(
-                conjugate(tab, p), conjugate(tab, q))
-            assert order(p) == order(conjugate(tab, p))
+                conjugate(gates, p), conjugate(gates, q))
+            assert order(p) == order(conjugate(gates, p))
 
 
 def test_gate_log_replay_determinism():
     rng = random.Random(17)
     for d in (2, 5, 6):
         gates = random_gates(rng, d, 3, 12)
-        t1 = from_gates(d, 3, gates)
-        t2 = from_gates(d, 3, list(t1.gate_log))
-        assert t1 == t2
+        assert images(gates, d, 3) == images(tuple(gates), d, 3)
 
 
 def test_pivot_already_in_place():
     for d in (2, 3, 5):
         p = x_op(d, 3, 1)
-        tab = pivot_to_x1(p, [0, 1, 2], target=1)
-        assert tab.gate_log == ()
-        assert conjugate(tab, p) == p
+        gates = pivot_to_x1(p, [0, 1, 2], target=1)
+        assert gates == ()
+        assert conjugate(gates, p) == p
 
 
 def test_pivot_single_z_is_one_fourier():
     p = z_op(3, 1, 0)
-    tab = pivot_to_x1(p, [0])
-    assert [g.name for g in tab.gate_log] == ["F"]
-    assert conjugate(tab, p) == x_op(3, 1, 0)
+    gates = pivot_to_x1(p, [0])
+    assert [g.name for g in gates] == ["F"]
+    assert conjugate(gates, p) == x_op(3, 1, 0)
 
 
 def test_pivot_random_exact_with_dense():
@@ -219,20 +239,18 @@ def test_pivot_random_exact_with_dense():
             if p.is_phase():
                 continue
             # arrange p^D = I exactly by zeroing gamma of a bare product
-            from qstab.pauli import power
-
             pd = power(p, d)
             if pd.gamma:
                 target_gamma = next(g for g in range(2 * d)
                                     if (g * d + pd.gamma) % (2 * d) == 0)
                 p = from_exponents(d, p.x, p.z, target_gamma)
             assert power(p, d).is_identity()
-            tab = pivot_to_x1(p, range(n))
-            got = conjugate(tab, p)
+            gates = pivot_to_x1(p, range(n))
+            got = conjugate(gates, p)
             assert got == x_op(d, n, min(p.support()))
-            tabz = pivot_to_x1(p, range(n), want_z=True)
-            assert conjugate(tabz, p) == z_op(d, n, min(p.support()))
-            u = oracle.clifford_matrix(d, n, tab.gate_log)
+            gates_z = pivot_to_x1(p, range(n), want_z=True)
+            assert conjugate(gates_z, p) == z_op(d, n, min(p.support()))
+            u = oracle.clifford_matrix(d, n, gates)
             assert oracle.matrices_equal(
                 u @ oracle.pauli_matrix(p) @ u.conj().T,
                 oracle.pauli_matrix(got))
@@ -251,6 +269,6 @@ def test_gates_confined_to_part():
     rng = random.Random(19)
     d, n = 3, 4
     p = from_exponents(d, (0, 1, 2, 0), (0, 2, 1, 0))
-    tab = pivot_to_x1(p, [1, 2])
-    assert all(set(g.qudits) <= {1, 2} for g in tab.gate_log)
-    assert conjugate(tab, p) == x_op(d, n, 1)
+    gates = pivot_to_x1(p, [1, 2])
+    assert all(set(g.qudits) <= {1, 2} for g in gates)
+    assert conjugate(gates, p) == x_op(d, n, 1)

@@ -1,0 +1,95 @@
+"""Golden files: CLI reports, gate files and oracle verdicts, byte for byte.
+
+Each case runs the CLI on an input stored under tests/golden/ and compares
+every file it writes (the report, the per-part `--emit-gates` files and the
+`oracle-verify` output) with the stored bytes.
+
+To regenerate the expected files from a trusted checkout:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from qstab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (state file, --parts value); D in {2, 3, 6}, n <= 6
+NF_CASES = {
+    "d2_tri_empty": ("d2_n5.stab", "1,3/-/2,4,5"),
+    "d3_ghz": ("d3_n6.stab", "1,2/3,4/5,6"),
+    "d6_tri": ("d6_n4.stab", "1/2,3/4"),
+    "d2_bi": ("d2_n6.stab", "1,2,3/4,5,6"),
+}
+# name -> extra `channel` flags on the [[5, 1]]_2 pentagon code
+CHANNEL_CASES = {
+    "pentagon": [],
+    "pentagon_bounds": ["--bounds"],
+}
+
+
+def _run(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue().encode()
+
+
+def emit_nf(name: str, work: Path) -> dict[str, bytes]:
+    state, parts = NF_CASES[name]
+    state = str(GOLDEN / state)
+    report = work / f"{name}.nf"
+    main(["canonicalize", "--state", state, f"--parts={parts}",
+          "--out", str(report), "--emit-gates", str(work / name)])
+    files = {p.name: p.read_bytes() for p in work.glob(f"{name}.*")}
+    files[f"{name}.verify"] = _run(["oracle-verify", "--report", str(report),
+                                    "--state", state])
+    return files
+
+
+def emit_channel(name: str, work: Path) -> dict[str, bytes]:
+    code = str(GOLDEN / "pentagon.code")
+    report = work / f"{name}.chan"
+    main(["channel", "--code", code, "--B", "1,2", "--C", "3,4,5",
+          "--out", str(report)] + CHANNEL_CASES[name])
+    return {report.name: report.read_bytes(),
+            f"{name}.verify": _run(["oracle-verify", "--report", str(report),
+                                    "--code", code])}
+
+
+def _expected(files: dict[str, bytes]) -> dict[str, bytes]:
+    return {f: (GOLDEN / f).read_bytes() for f in files}
+
+
+@pytest.mark.parametrize("name", sorted(NF_CASES))
+def test_normal_form_golden(name, tmp_path):
+    files = emit_nf(name, tmp_path)
+    stored = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
+    assert sorted(files) == stored
+    assert files == _expected(files)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_CASES))
+def test_channel_golden(name, tmp_path):
+    files = emit_channel(name, tmp_path)
+    assert files == _expected(files)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in NF_CASES:
+            for fname, data in emit_nf(case, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
+        for case in CHANNEL_CASES:
+            for fname, data in emit_channel(case, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
