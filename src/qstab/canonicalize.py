@@ -28,7 +28,7 @@ must equal the normal-form group bit-exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .clifford import (
@@ -110,6 +110,10 @@ class NormalForm:
     circuits: tuple[tuple[Gate, ...], ...]
     factors: tuple[tuple[int, "NormalForm"], ...] = ()
     composite_counts_derived: bool = False
+    # the input this very object passed the built-in exactness check
+    # against; parsing, replace() and construction leave it unset
+    _exact_for: StabilizerGroup | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -144,12 +148,22 @@ def normal_form_group(nf: NormalForm) -> StabilizerGroup:
 
 
 def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
-    """The input conjugated by the returned unitaries equals the normal-form
-    group bit-exactly (prime D).
+    """Each part's circuit acts inside its part, and the input conjugated by
+    the circuits equals the normal-form group bit-exactly (prime D).
 
     The part circuits are replayed one after another over the input
     generators; their supports are disjoint, so the order does not matter.
+    A form that passed this check against an equal input when it was built
+    is not replayed again.
     """
+    if nf._exact_for is not None and nf._exact_for == group:
+        return True
+    if len(nf.circuits) != len(nf.parts):
+        return False
+    for part, circuit in zip(nf.parts, nf.circuits):
+        allowed = set(part)
+        if any(not allowed.issuperset(g.qudits) for g in circuit):
+            return False
     gates = [g for circuit in nf.circuits for g in circuit]
     conjugated = StabilizerGroup(
         group.d, group.n, tuple(conjugate(gates, g) for g in group.gens))
@@ -413,6 +427,7 @@ def _prime_normal_form(group: StabilizerGroup,
     )
     if not is_exact(group, nf):
         raise InternalInvariant("conjugated input differs from the normal form")
+    object.__setattr__(nf, "_exact_for", group)
     return nf
 
 

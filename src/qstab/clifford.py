@@ -14,6 +14,15 @@ it replays the list gate by gate. The gate alphabet:
 
 All rules are exact on (x, z, gamma); the derivations fix gamma increments so
 that gate-list conjugation agrees entrywise with dense matrix conjugation.
+
+The alphabet has no exponent on W or CNOT, so powers are written as short
+words instead of runs: a shear z -> z + t x (W^t up to a phase the callers
+strip) is one of t plain W gates, S(1/r) W S(r) for t = r^2, W S(1/r) W S(r)
+for t = 1 + r^2, or S(1/s) W S(s/r) W S(r) for t = s^2 + r^2, whichever is
+shortest (ties go to the plain run). CNOT^{-1} is CNOT between two S(-1)
+once that beats D - 1 copies, and for prime D, W^{-1} is the word for
+t = D - 1 plus one Z fixing the phase, so no prime-D circuit length depends
+on the size of D.
 """
 
 from __future__ import annotations
@@ -23,11 +32,12 @@ from dataclasses import dataclass
 from .errors import (
     IdentityOnPart,
     IndexOutOfRange,
+    InternalInvariant,
     InvalidStabilizer,
     NonPrimeD,
     ShapeMismatch,
 )
-from .modring import inv_mod, is_prime
+from .modring import inv_mod, is_prime, sqrt_mod
 from .pauli import PauliProduct, x_op, z_op
 
 GATE_NAMES = ("F", "S", "W", "X", "Z", "CP", "CNOT")
@@ -128,6 +138,33 @@ def conjugate(gates, p: PauliProduct) -> PauliProduct:
     return p
 
 
+def _square_shear(q: int, r: int, d: int) -> list[Gate]:
+    """S(1/r) W S(r): the shear z -> z + r^2 x on qudit q."""
+    return [smult(q, inv_mod(r, d)), phase_w(q), smult(q, r)]
+
+
+def shear_word(q: int, t: int, d: int) -> list[Gate]:
+    """Shortest word (prime d) with the symplectic action of W^t on qudit q,
+    z -> z + t x; its phase may differ from W^t's by a Z power."""
+    t %= d
+    if t <= 3:
+        return [phase_w(q)] * t
+    r = sqrt_mod(t, d)
+    if r is not None:
+        return _square_shear(q, r, d)
+    r = sqrt_mod(t - 1, d)
+    if r is not None:
+        return [phase_w(q)] + _square_shear(q, r, d)
+    # t and t - 1 are non-residues, so some t - s^2 (s >= 2) is a nonzero one
+    for s in range(2, d):
+        r = sqrt_mod(t - s * s, d)
+        if r:
+            return (_square_shear(q, s, d)[:2]
+                    + [smult(q, s * inv_mod(r, d) % d)]
+                    + _square_shear(q, r, d)[1:])
+    raise InternalInvariant(f"{t} is not a sum of two squares mod {d}")
+
+
 def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     """Expand one gate's inverse in the same alphabet (no dagger forms)."""
     if gate.name == "F":
@@ -135,8 +172,14 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     if gate.name == "S":
         return [smult(gate.qudits[0], inv_mod(gate.param, d))]
     if gate.name == "W":
-        reps = (2 * d - 1) if d % 2 == 0 else (d - 1)
-        return [gate] * reps
+        if not is_prime(d):
+            return [gate] * ((2 * d - 1) if d % 2 == 0 else (d - 1))
+        q = gate.qudits[0]
+        word = shear_word(q, d - 1, d)
+        # W then the word fixes X_q up to lambda^gamma, gamma even and
+        # linear in x, which one Z^{gamma/2} removes
+        gamma = conjugate([gate] + word, x_op(d, q + 1, q)).gamma
+        return word + ([pauli_z(q, gamma // 2)] if gamma else [])
     if gate.name == "X":
         return [pauli_x(gate.qudits[0], (-gate.param) % d)]
     if gate.name == "Z":
@@ -144,7 +187,10 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     if gate.name == "CP":
         return [cphase(gate.qudits[0], gate.qudits[1], (-gate.param) % d)]
     if gate.name == "CNOT":
-        return [gate] * (d - 1)
+        if d - 1 <= 3:
+            return [gate] * (d - 1)
+        flip = smult(gate.qudits[1], d - 1)
+        return [flip, gate, flip]
     raise ShapeMismatch(f"unknown gate {gate.name!r}")
 
 
@@ -168,9 +214,8 @@ def _pivot_gates_step(p: PauliProduct, q: int) -> tuple[list[Gate], PauliProduct
 
     if p.x[q] == 0:
         shoot(fourier(q))
-    t = (-p.z[q] * inv_mod(p.x[q], d)) % d
-    for _ in range(t):
-        shoot(phase_w(q))
+    for gate in shear_word(q, -p.z[q] * inv_mod(p.x[q], d), d):
+        shoot(gate)
     if p.x[q] != 1:
         shoot(smult(q, p.x[q]))
     return gates, p

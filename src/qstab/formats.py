@@ -8,10 +8,11 @@ rendered value reproduces the bytes, which is what the golden-file tests pin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .canonicalize import NormalForm
+from .canonicalize import NormalForm, Partition
 from .channel import ChannelAnalysis, CodeSpec
 from .clifford import Gate
 from .errors import FormatError
@@ -20,6 +21,18 @@ from .pauli import PauliProduct, from_text, to_text
 from .stabilizer import GraphAdjacency, StabilizerGroup
 
 MAGIC = "QSTAB1"
+
+
+def _text_parser(parse):
+    """Report malformed text as FormatError: the line-by-line parsers meet a
+    short line as IndexError and a bad integer as ValueError."""
+    @functools.wraps(parse)
+    def wrapped(text: str):
+        try:
+            return parse(text)
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"malformed input to {parse.__name__}: {exc}") from exc
+    return wrapped
 
 
 def _lines(text: str) -> list[str]:
@@ -56,6 +69,7 @@ def render_stabilizer(group: StabilizerGroup) -> str:
     return "\n".join(out) + "\n"
 
 
+@_text_parser
 def parse_stabilizer(text: str) -> StabilizerGroup:
     lines = _expect_magic(_lines(text), "stabilizer")
     d, n, k = _header_ints(lines[0], ("D", "n", "gens"))
@@ -94,6 +108,7 @@ def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
     return GraphAdjacency.from_edges(n, edges)
 
 
+@_text_parser
 def parse_graph(text: str) -> tuple[GraphAdjacency, int]:
     lines = _expect_magic(_lines(text), "graph")
     d, n = _header_ints(lines[0], ("D", "n"))
@@ -113,6 +128,7 @@ def render_code(code: CodeSpec) -> str:
     return "\n".join(out) + "\n"
 
 
+@_text_parser
 def parse_code(text: str) -> CodeSpec:
     lines = _expect_magic(_lines(text), "code")
     d, n, k = _header_ints(lines[0], ("D", "n", "k"))
@@ -120,11 +136,13 @@ def parse_code(text: str) -> CodeSpec:
         coding_at = lines.index("CODING")
     except ValueError:
         raise FormatError("missing CODING section") from None
-    adj = _parse_edges(lines[1:coding_at], n)
     coding = tuple(from_text(ln, d) for ln in lines[coding_at + 1:])
     if len(coding) != k:
         raise FormatError(f"expected {k} coding generators, got {len(coding)}")
-    return CodeSpec(n, k, d, adj, coding)
+    if any(f.n != n for f in coding):
+        raise FormatError(f"coding generator width differs from n={n}")
+    # the generators bound n before the n x n adjacency is allocated
+    return CodeSpec(n, k, d, _parse_edges(lines[1:coding_at], n), coding)
 
 
 # --------------------------------------------------------------------- gates
@@ -136,20 +154,18 @@ def render_gate(g: Gate) -> str:
     return f"{g.name} {qs} {g.param}"
 
 
+@_text_parser
 def parse_gate(line: str) -> Gate:
     toks = line.split()
     name = toks[0]
-    try:
-        if name in ("F", "W") and len(toks) == 2:
-            return Gate(name, (int(toks[1]) - 1,))
-        if name in ("S", "X", "Z") and len(toks) == 3:
-            return Gate(name, (int(toks[1]) - 1,), int(toks[2]))
-        if name == "CNOT" and len(toks) == 3:
-            return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1))
-        if name == "CP" and len(toks) == 4:
-            return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1), int(toks[3]))
-    except ValueError as exc:
-        raise FormatError(f"bad integer in gate line {line!r}") from exc
+    if name in ("F", "W") and len(toks) == 2:
+        return Gate(name, (int(toks[1]) - 1,))
+    if name in ("S", "X", "Z") and len(toks) == 3:
+        return Gate(name, (int(toks[1]) - 1,), int(toks[2]))
+    if name == "CNOT" and len(toks) == 3:
+        return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1))
+    if name == "CP" and len(toks) == 4:
+        return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1), int(toks[3]))
     raise FormatError(f"unrecognized gate line {line!r}")
 
 
@@ -159,6 +175,7 @@ def render_gates(d: int, n: int, gates) -> str:
     return "\n".join(out) + "\n"
 
 
+@_text_parser
 def parse_gates(text: str) -> tuple[int, int, list[Gate]]:
     lines = _expect_magic(_lines(text), "gates")
     d, n = _header_ints(lines[0], ("D", "n"))
@@ -268,6 +285,11 @@ def _parse_nf_body(cur: _Cursor) -> dict:
 
 def _nf_from_body(d: int, n: int, parts, body: dict, factors=(),
                   derived=False) -> NormalForm:
+    roles = ([q for q, _ in body["singles"]]
+             + [q for pair in body["pairs"] for q in pair[2:]]
+             + [q for triple in body["triples"] for q in triple])
+    if any(not 0 <= q < n for q in roles):
+        raise FormatError(f"role qudit outside register of size {n}")
     c = body["counts"]
     return NormalForm(
         d=d, n=n, parts=parts,
@@ -296,11 +318,15 @@ def _parse_parts_block(cur: _Cursor, n: int):
     return tuple(parts)
 
 
+@_text_parser
 def parse_normal_form(text: str) -> NormalForm:
     lines = _expect_magic(_lines(text), "normalform")
     cur = _Cursor(lines)
     d, n = _header_ints(cur.take(), ("D", "n"))
     parts = _parse_parts_block(cur, n)
+    if sum(len(part) for part in parts) != n:
+        raise FormatError(f"parts do not hold n={n} qudits")
+    Partition(n, parts)  # raises ShapeMismatch unless the parts tile the qudits
     derived = False
     if cur.peek() == "composite-min true":
         cur.take()
@@ -385,6 +411,7 @@ def render_channel_report(rep: ChannelReport) -> str:
     return "\n".join(out) + "\n"
 
 
+@_text_parser
 def parse_channel_report(text: str) -> ChannelReport:
     lines = _expect_magic(_lines(text), "channel")
     cur = _Cursor(lines)

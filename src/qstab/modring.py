@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidDimension, NotCoprime, NotInvertible
 
@@ -81,8 +82,13 @@ def inv_mod(a: int, m: int) -> int:
     return x % m
 
 
+@lru_cache(maxsize=256)
 def factorize(d: int) -> Modulus:
-    """Trial-division factorization of a dimension D in [2, 2**31]."""
+    """Trial-division factorization of a dimension D in [2, 2**31].
+
+    Cached: a run asks about the same few dimensions over and over, and the
+    returned Modulus is frozen, so sharing it is safe.
+    """
     if d < 2:
         raise InvalidDimension(f"dimension {d} < 2")
     if d > MAX_DIMENSION:
@@ -107,6 +113,32 @@ def is_prime(d: int) -> bool:
     if d < 2:
         return False
     return factorize(d).is_prime
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """The smaller square root of a modulo an odd prime p, or None when a is
+    a non-residue (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    c = pow(next(w for w in range(2, p) if pow(w, (p - 1) // 2, p) == p - 1),
+            q, p)
+    r, t, m = pow(a, (q + 1) // 2, p), pow(a, q, p), s
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r, c, m = r * b % p, b * b % p, i
+        t = t * c % p
+    return min(r, p - r)
 
 
 def make_split(d: int, d1: int) -> CrtSplit:

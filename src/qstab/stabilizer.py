@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     NotSubgroup,
     ShapeMismatch,
 )
-from .modring import Modulus, factorize, inv_mod
+from .modring import factorize, inv_mod
 from .pauli import (
     PauliProduct,
     commutation_phase,
@@ -40,11 +39,6 @@ from .pauli import (
     x_op,
     z_op,
 )
-
-
-@lru_cache(maxsize=None)
-def _modulus(d: int) -> Modulus:
-    return factorize(d)
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class StabilizerGroup:
     gens: tuple[PauliProduct, ...]
 
     def __post_init__(self) -> None:
-        mod = _modulus(self.d)
+        mod = factorize(self.d)
         if not mod.squarefree:
             raise NotSquarefree(f"stabilizer groups need squarefree D, got {self.d}")
         for g in self.gens:
@@ -133,7 +127,7 @@ def reduce_generators(d: int, paulis: list[PauliProduct], n: int) -> list[PauliP
     output a canonical form: two generating sets of the same group reduce to
     identical lists.
     """
-    mod = _modulus(d)
+    mod = factorize(d)
     out: list[PauliProduct] = []
     for p in mod.primes:
         rows: list[PauliProduct] = []
@@ -215,7 +209,7 @@ def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:
     off = [i for i in range(group.n) if i not in part_set]
     if not group.gens:
         return StabilizerGroup(group.d, group.n, ())
-    mod = _modulus(group.d)
+    mod = factorize(group.d)
     found: list[PauliProduct] = []
     for p in mod.primes:
         rows = [[g.x[i] % p for i in off] + [g.z[i] % p for i in off]
@@ -243,7 +237,7 @@ def member_coefficients(group: StabilizerGroup, p: PauliProduct) -> list[int] | 
     """Coefficients c with prod_i gens[i]^{c_i} = p exactly, or None."""
     if p.d != group.d or p.n != group.n:
         raise ShapeMismatch("element shape differs from group shape")
-    mod = _modulus(group.d)
+    mod = factorize(group.d)
     total = [0] * len(group.gens)
     for pr in mod.primes:
         rows = [_reduced_row(g, pr) for g in group.gens]
@@ -269,7 +263,7 @@ def extend_generators(group: StabilizerGroup,
     Adjoins canonical generators of the group one at a time whenever they
     enlarge the span, mirroring incremental generator completion.
     """
-    mod = _modulus(group.d)
+    mod = factorize(group.d)
     if not mod.is_prime:
         from .errors import NonPrimeD
 

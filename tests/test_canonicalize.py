@@ -1,5 +1,6 @@
 """Normal-form extraction: golden examples, oracle agreement, invariance."""
 
+import dataclasses
 import math
 import random
 
@@ -11,6 +12,7 @@ from qstab.canonicalize import (
     extract_epr_pair,
     extract_ghz,
     extract_unentangled,
+    is_exact,
     normal_form_group,
     tripartition_normal_form,
 )
@@ -20,7 +22,7 @@ from qstab.errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from qstab.formats import render_normal_form
+from qstab.formats import parse_normal_form, render_normal_form
 from qstab.pauli import from_exponents, x_op
 from qstab.randgen import (
     random_part_gates,
@@ -38,6 +40,7 @@ from qstab.stabilizer import (
     subgroup_on_part,
     tensor_groups,
 )
+from qstab.verify import verify_normal_form
 
 
 def all_gates(nf):
@@ -349,3 +352,40 @@ def test_tableaux_supported_on_their_parts():
         for part, circuit in zip((a, b, c), nf.circuits):
             for g in circuit:
                 assert set(g.qudits) <= set(part)
+
+
+def test_gate_count_does_not_grow_with_d():
+    s = random_state(2**31 - 1, 8, 1)
+    nf = tripartition_normal_form(s, [0, 1, 2], [3, 4], [5, 6, 7])
+    assert all(ok for _, ok in verify_normal_form(s, nf))
+    assert is_exact(s, dataclasses.replace(nf))  # a full replay, no shortcut
+    assert sum(len(c) for c in nf.circuits) < 200
+
+
+def test_exactness_replays_once_per_built_form(monkeypatch):
+    import qstab.canonicalize as canonicalize
+
+    s = random_state(5, 5, 2)
+    nf = tripartition_normal_form(s, [0, 1], [2, 3], [4])
+    calls = []
+    real = canonicalize.conjugate
+    monkeypatch.setattr(canonicalize, "conjugate",
+                        lambda gates, p: calls.append(1) or real(gates, p))
+    assert is_exact(s, nf) and not calls
+    # a parsed report, a copy, or another input is replayed in full
+    assert is_exact(s, parse_normal_form(render_normal_form(nf)))
+    assert len(calls) == 5
+    assert is_exact(s, dataclasses.replace(nf))
+    other = random_state(5, 5, 3)
+    assert not is_exact(other, nf)
+    assert len(calls) == 15
+
+
+def test_non_local_circuits_are_not_exact():
+    s = random_state(3, 4, 4)
+    nf = tripartition_normal_form(s, [0, 1], [2], [3])
+    merged = tuple(g for c in nf.circuits for g in c)
+    moved = dataclasses.replace(nf, circuits=(merged, (), ()))
+    assert is_exact(s, dataclasses.replace(nf))
+    assert not is_exact(s, moved)
+    assert not is_exact(s, dataclasses.replace(nf, circuits=nf.circuits[:2]))

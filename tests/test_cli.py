@@ -154,6 +154,20 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
     rc, out, _ = tamper("S ", lambda t: f"S {t[1]} {3 - int(t[2])}")
     assert rc == 1
     assert "exactness: MISMATCH" in out
+    # every gate moved under part 1: the same unitary, but not a local one
+    lines = text.splitlines()
+    heads = [i for i, ln in enumerate(lines) if ln.startswith("tableau ")]
+    gates = [ln for i in heads
+             for ln in lines[i + 1:i + 1 + int(lines[i].split()[3])]]
+    assert len(gates) == 17
+    end = heads[-1] + 1 + int(lines[heads[-1]].split()[3])
+    lines[heads[0]:end] = ([f"tableau 1 gates {len(gates)}"] + gates
+                           + ["tableau 2 gates 0", "tableau 3 gates 0"])
+    report.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(state)], capsys)
+    assert rc == 1
+    assert "exactness: MISMATCH" in out
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

@@ -17,6 +17,7 @@ from qstab.clifford import (
     pauli_z,
     phase_w,
     pivot_to_x1,
+    shear_word,
     smult,
 )
 from qstab.errors import IdentityOnPart, NonPrimeD, NotInvertible
@@ -168,13 +169,16 @@ def test_fourier_fourth_power_is_identity():
 
 def test_compose_and_inverse():
     rng = random.Random(14)
-    for d in (2, 3, 5, 6):
+    for d in (2, 3, 5, 6, 1009, 2**31 - 1):
         n = 2
-        g1 = random_gates(rng, d, n, 6)
+        g1 = random_gates(rng, d, n, 6) + [phase_w(0), cnot(1, 0)]
         g2 = random_gates(rng, d, n, 6)
         both = g2 + g1  # U1 U2: the circuit of U2 runs first
         p = random_pauli(rng, d, n)
         assert conjugate(both, p) == conjugate(g1, conjugate(g2, p))
+        if d != 6:
+            # at prime D every inverse is a word of at most six gates
+            assert len(inverse_gates(g1, d)) <= 6 * len(g1)
         ident = images([], d, n)
         for round_trip in (g1 + list(inverse_gates(g1, d)),
                            list(inverse_gates(g1, d)) + g1):
@@ -272,3 +276,41 @@ def test_gates_confined_to_part():
     gates = pivot_to_x1(p, [1, 2])
     assert all(set(g.qudits) <= {1, 2} for g in gates)
     assert conjugate(gates, p) == x_op(d, n, 1)
+
+
+def shear_ts():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 11, 13):
+        for t in range(p):
+            yield p, t
+    for p in (1009, 2**31 - 1):
+        for _ in range(200):
+            yield p, rng.randrange(p)
+
+
+def test_shear_word_acts_as_w_power_in_five_gates():
+    rng = random.Random(18)
+    for p, t in shear_ts():
+        word = shear_word(0, t, p)
+        assert len(word) <= 5
+        assert {g.name for g in word} <= {"W", "S"}
+        # no word beats three plain W, so circuits at D <= 3 keep their runs
+        if t <= 3:
+            assert word == [phase_w(0)] * t
+        for _ in range(4):
+            x, z = rng.randrange(p), rng.randrange(p)
+            image = conjugate(word, from_exponents(p, [x], [z]))
+            assert (image.x, image.z) == ((x,), ((z + t * x) % p,))
+
+
+def test_inverse_matches_dense_up_to_phase():
+    rng = random.Random(20)
+    for d in (2, 3, 5, 6, 7):
+        n = 2
+        gates = random_gates(rng, d, n, 8) + [phase_w(1), cnot(1, 0)]
+        u = oracle.clifford_matrix(d, n, gates)
+        u_inv = oracle.clifford_matrix(d, n, inverse_gates(gates, d))
+        product = u_inv @ u
+        phase = product[0, 0]
+        assert abs(abs(phase) - 1) < 1e-9
+        assert oracle.matrices_equal(product, phase * oracle.clifford_matrix(d, n, []))

@@ -1,12 +1,15 @@
-"""Text format round-trips and byte stability."""
+"""Text format round-trips, byte stability and malformed input."""
+
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstab import formats
 from qstab.canonicalize import tripartition_normal_form
 from qstab.channel import CodeSpec, analyze_channel
 from qstab.clifford import cnot, cphase, fourier, pauli_x, pauli_z, phase_w, smult
-from qstab.errors import FormatError
+from qstab.errors import FormatError, QstabError
 from qstab.pauli import z_op
 from qstab.randgen import random_code, random_state
 from qstab.stabilizer import GraphAdjacency, ghz_group
@@ -95,3 +98,49 @@ def test_parse_errors():
         formats.parse_gate("Q 1")
     with pytest.raises(FormatError):
         formats.parse_code("QSTAB1 code\nD 2 n 2 k 1\n1 2 1\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+PARSERS = {
+    "stab": formats.parse_stabilizer,
+    "code": formats.parse_code,
+    "gates": formats.parse_gates,
+    "nf": formats.parse_normal_form,
+    "chan": formats.parse_channel_report,
+}
+ALL_PARSERS = list(PARSERS.values()) + [formats.parse_graph, formats.parse_gate]
+GOLDEN_TEXTS = sorted((path.suffix[1:], path.read_text())
+                      for path in GOLDEN.iterdir() if path.suffix[1:] in PARSERS)
+TOKENS = list("0123456789 -|,\n") + ["S", "W", "CNOT", "tableau", "part",
+                                      "factor", "end-factor", "info_B", "D"]
+
+
+def _parse_allowing_domain_errors(parse, text):
+    try:
+        parse(text)
+    except QstabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.sampled_from(ALL_PARSERS))
+def test_arbitrary_text_raises_only_domain_errors(text, parse):
+    _parse_allowing_domain_errors(parse, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(GOLDEN_TEXTS),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                          st.sampled_from(TOKENS)), min_size=1, max_size=3))
+def test_mutated_golden_files_raise_only_domain_errors(golden, edits):
+    kind, text = golden
+    chars = list(text)
+    for pos, op, token in edits:
+        i = pos % (len(chars) + 1)
+        if op == 0:
+            del chars[i:i + 1]
+        elif op == 1:
+            chars.insert(i, token)
+        else:
+            chars[i:i + 1] = [token]
+    _parse_allowing_domain_errors(PARSERS[kind], "".join(chars))

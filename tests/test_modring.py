@@ -11,6 +11,7 @@ from qstab.modring import (
     inv_mod,
     is_prime,
     make_split,
+    sqrt_mod,
 )
 
 
@@ -113,3 +114,20 @@ def test_crt_split_fields_are_units():
         split = make_split(d, d1)
         assert gcd(split.r1, split.d1) == 1
         assert gcd(split.r2, split.d2) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 1009, 65537, 2**31 - 1])
+def test_sqrt_mod_smaller_root_or_none(p):
+    squares = {x * x % p for x in range(min(p, 200))}
+    for a in range(min(p, 200)):
+        r = sqrt_mod(a, p)
+        if r is None:
+            assert pow(a, (p - 1) // 2, p) == p - 1
+        else:
+            assert r * r % p == a and r <= p - r
+        if a in squares:
+            assert r is not None
+
+
+def test_factorize_is_cached():
+    assert factorize(2**31 - 1) is factorize(2**31 - 1)
