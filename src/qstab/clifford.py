@@ -19,10 +19,9 @@ The alphabet has no exponent on W or CNOT, so powers are written as short
 words instead of runs: a shear z -> z + t x (W^t up to a phase the callers
 strip) is one of t plain W gates, S(1/r) W S(r) for t = r^2, W S(1/r) W S(r)
 for t = 1 + r^2, or S(1/s) W S(s/r) W S(r) for t = s^2 + r^2, whichever is
-shortest (ties go to the plain run). CNOT^{-1} is CNOT between two S(-1)
-once that beats D - 1 copies, and for prime D, W^{-1} is the word for
-t = D - 1 plus one Z fixing the phase, so no prime-D circuit length depends
-on the size of D.
+shortest (ties go to the plain run). At every D, CNOT^{-1} is CNOT between
+two S(-1), and W^{-1} is S(-1) F W F W F plus at most one Z and one X fixing
+the phase, so no circuit length depends on the size of D.
 """
 
 from __future__ import annotations
@@ -172,14 +171,18 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     if gate.name == "S":
         return [smult(gate.qudits[0], inv_mod(gate.param, d))]
     if gate.name == "W":
-        if not is_prime(d):
-            return [gate] * ((2 * d - 1) if d % 2 == 0 else (d - 1))
         q = gate.qudits[0]
-        word = shear_word(q, d - 1, d)
-        # W then the word fixes X_q up to lambda^gamma, gamma even and
-        # linear in x, which one Z^{gamma/2} removes
-        gamma = conjugate([gate] + word, x_op(d, q + 1, q)).gamma
-        return word + ([pauli_z(q, gamma // 2)] if gamma else [])
+        # S(-1) F W F W F acts as W^{-1} on (x, z) at every D; W then the
+        # word fixes X_q and Z_q up to even powers of lambda, which trailing
+        # Z and X powers remove
+        word = [smult(q, d - 1), fourier(q), gate, fourier(q), gate, fourier(q)]
+        gx = conjugate([gate] + word, x_op(d, q + 1, q)).gamma
+        gz = conjugate([gate] + word, z_op(d, q + 1, q)).gamma
+        if gx:
+            word.append(pauli_z(q, gx // 2))      # conj by Z^b: gamma -= 2 b x
+        if gz:
+            word.append(pauli_x(q, -gz // 2 % d))  # conj by X^a: gamma += 2 a z
+        return word
     if gate.name == "X":
         return [pauli_x(gate.qudits[0], (-gate.param) % d)]
     if gate.name == "Z":
@@ -187,8 +190,6 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     if gate.name == "CP":
         return [cphase(gate.qudits[0], gate.qudits[1], (-gate.param) % d)]
     if gate.name == "CNOT":
-        if d - 1 <= 3:
-            return [gate] * (d - 1)
         flip = smult(gate.qudits[1], d - 1)
         return [flip, gate, flip]
     raise ShapeMismatch(f"unknown gate {gate.name!r}")

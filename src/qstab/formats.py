@@ -95,7 +95,12 @@ def render_graph(adj: GraphAdjacency, d: int) -> str:
     return "\n".join(out) + "\n"
 
 
+MAX_GRAPH_N = 1024  # graph and code files build a dense n x n adjacency
+
+
 def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
+    if not 0 <= n <= MAX_GRAPH_N:
+        raise FormatError(f"graph size n={n} outside 0..{MAX_GRAPH_N}")
     edges = []
     for ln in lines:
         toks = ln.split()
@@ -141,7 +146,6 @@ def parse_code(text: str) -> CodeSpec:
         raise FormatError(f"expected {k} coding generators, got {len(coding)}")
     if any(f.n != n for f in coding):
         raise FormatError(f"coding generator width differs from n={n}")
-    # the generators bound n before the n x n adjacency is allocated
     return CodeSpec(n, k, d, _parse_edges(lines[1:coding_at], n), coding)
 
 

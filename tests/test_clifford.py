@@ -169,16 +169,15 @@ def test_fourier_fourth_power_is_identity():
 
 def test_compose_and_inverse():
     rng = random.Random(14)
-    for d in (2, 3, 5, 6, 1009, 2**31 - 1):
+    for d in (2, 3, 4, 5, 6, 1009, 2**31 - 1):
         n = 2
         g1 = random_gates(rng, d, n, 6) + [phase_w(0), cnot(1, 0)]
         g2 = random_gates(rng, d, n, 6)
         both = g2 + g1  # U1 U2: the circuit of U2 runs first
         p = random_pauli(rng, d, n)
         assert conjugate(both, p) == conjugate(g1, conjugate(g2, p))
-        if d != 6:
-            # at prime D every inverse is a word of at most six gates
-            assert len(inverse_gates(g1, d)) <= 6 * len(g1)
+        # at every D the longest inverse, W^-1, is a word of at most 8 gates
+        assert len(inverse_gates(g1, d)) <= 8 * len(g1)
         ident = images([], d, n)
         for round_trip in (g1 + list(inverse_gates(g1, d)),
                            list(inverse_gates(g1, d)) + g1):
@@ -305,7 +304,7 @@ def test_shear_word_acts_as_w_power_in_five_gates():
 
 def test_inverse_matches_dense_up_to_phase():
     rng = random.Random(20)
-    for d in (2, 3, 5, 6, 7):
+    for d in (2, 3, 4, 5, 6, 7):
         n = 2
         gates = random_gates(rng, d, n, 8) + [phase_w(1), cnot(1, 0)]
         u = oracle.clifford_matrix(d, n, gates)

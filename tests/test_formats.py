@@ -98,6 +98,11 @@ def test_parse_errors():
         formats.parse_gate("Q 1")
     with pytest.raises(FormatError):
         formats.parse_code("QSTAB1 code\nD 2 n 2 k 1\n1 2 1\n")
+    # n bounded by nothing in the text must not reach the n x n adjacency
+    with pytest.raises(FormatError):
+        formats.parse_code("QSTAB1 code\nD 2 n 200000 k 0\nCODING\n")
+    with pytest.raises(FormatError):
+        formats.parse_graph("QSTAB1 graph\nD 2 n 200000\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"
