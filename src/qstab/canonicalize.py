@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .clifford import (
     Gate,
-    conjugate,
-    gate_conjugate,
+    conjugate_all,
     pauli_x,
     pauli_z,
     pivot_part_gates,
@@ -165,8 +164,8 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
         if any(not allowed.issuperset(g.qudits) for g in circuit):
             return False
     gates = [g for circuit in nf.circuits for g in circuit]
-    conjugated = StabilizerGroup(
-        group.d, group.n, tuple(conjugate(gates, g) for g in group.gens))
+    conjugated = StabilizerGroup(group.d, group.n,
+                                 conjugate_all(gates, group.gens))
     return canonical_form(conjugated) == canonical_form(normal_form_group(nf))
 
 
@@ -197,10 +196,11 @@ class _Extraction:
         for g in gates:
             if not set(g.qudits) <= allowed:
                 raise InternalInvariant("gate escapes its part's active qudits")
-            self.circuits[part_idx].append(g)
-            self.active = [gate_conjugate(g, a) for a in self.active]
-            tracked = [gate_conjugate(g, t) for t in tracked]
-        return tracked
+        self.circuits[part_idx].extend(gates)
+        k = len(self.active)
+        rows = conjugate_all(gates, self.active + tracked)
+        self.active = list(rows[:k])
+        return list(rows[k:])
 
     def reduce_active(self, paulis: list[PauliProduct]) -> None:
         self.active = list(reduce_generators(self.d, paulis, self.n))

@@ -1,8 +1,10 @@
 """Clifford unitaries as gate lists: the alphabet, conjugation, inversion, pivoting.
 
 A Clifford is the ordered list of elementary gates that applies it, so every
-canonicalization result is a human-auditable circuit; conjugating a Pauli by
-it replays the list gate by gate. The gate alphabet:
+canonicalization result is a human-auditable circuit. conjugate_all replays
+the list once over a batch of Pauli products held as exponent columns and a
+phase list: each gate rewrites only its one or two columns in every row, as
+in CHP tableaux, and products are built once at the end. The gate alphabet:
 
     F q        Fourier gate:        Z -> X,  X -> Z^{-1}
     S q a      multiplicative gate: Z -> Z^a, X -> X^{a^{-1}}   (a invertible)
@@ -79,62 +81,72 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 
 
+def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
+    """U p U^dag for every p in `paulis` (one shape), where the circuit U
+    applies `gates` in list order; exact in gamma.
+
+    The rows are copied once into column lists, xs[q][i] and zs[q][i] being
+    row i's exponents on qudit q, so each gate rewrites only its one or two
+    columns (and the phases) in every row; products are built at the end.
+    """
+    paulis = tuple(paulis)
+    if not paulis:
+        return ()
+    d, n = paulis[0].d, paulis[0].n
+    if any(p.d != d or p.n != n for p in paulis):
+        raise ShapeMismatch("conjugated Pauli products differ in shape")
+    xs = [list(col) for col in zip(*(p.x for p in paulis))]
+    zs = [list(col) for col in zip(*(p.z for p in paulis))]
+    gam = [p.gamma for p in paulis]
+    for gate in gates:
+        if gate.name not in GATE_NAMES:
+            raise ShapeMismatch(f"unknown gate {gate.name!r}")
+        for q in gate.qudits:
+            if not 0 <= q < n:
+                raise IndexOutOfRange(f"qudit {q} outside register of size {n}")
+        if len(set(gate.qudits)) != len(gate.qudits):
+            raise IndexOutOfRange(f"{gate.name} needs distinct qudits")
+        q, r = gate.qudits[0], gate.qudits[-1]
+        if gate.name == "F":
+            # Z^{-x} X^z reorders with omega^{x z}
+            gam = [g + 2 * a * b for g, a, b in zip(gam, xs[q], zs[q])]
+            xs[q], zs[q] = zs[q], [-a % d for a in xs[q]]
+        elif gate.name == "S":
+            alpha = gate.param % d
+            abar = inv_mod(alpha, d)
+            xs[q] = [abar * a % d for a in xs[q]]
+            zs[q] = [alpha * b % d for b in zs[q]]
+        elif gate.name == "W":
+            e = 1 if d % 2 == 0 else 0
+            # (lambda^e X Z)^x = lambda^{e x} omega^{-x(x-1)/2} X^x Z^x
+            gam = [g + e * a - a * (a - 1) for g, a in zip(gam, xs[q])]
+            zs[q] = [(b + a) % d for a, b in zip(xs[q], zs[q])]
+        elif gate.name == "X":
+            gam = [g + 2 * gate.param * b for g, b in zip(gam, zs[q])]
+        elif gate.name == "Z":
+            gam = [g - 2 * gate.param * a for g, a in zip(gam, xs[q])]
+        elif gate.name == "CP":
+            w = gate.param
+            gam = [g + 2 * w * a * c for g, a, c in zip(gam, xs[q], xs[r])]
+            zs[q] = [(b - w * c) % d for b, c in zip(zs[q], xs[r])]
+            zs[r] = [(b - w * a) % d for b, a in zip(zs[r], xs[q])]
+        else:  # CNOT
+            zs[q] = [(b + c) % d for b, c in zip(zs[q], zs[r])]
+            xs[r] = [(c - a) % d for c, a in zip(xs[r], xs[q])]
+    if not n:
+        return paulis
+    return tuple(PauliProduct(d, g, x, z)
+                 for g, x, z in zip(gam, zip(*xs), zip(*zs)))
+
+
 def gate_conjugate(gate: Gate, p: PauliProduct) -> PauliProduct:
     """Image of p under conjugation by the gate's unitary, exact in gamma."""
-    d = p.d
-    x = list(p.x)
-    z = list(p.z)
-    gamma = p.gamma
-    for q in gate.qudits:
-        if not 0 <= q < p.n:
-            raise IndexOutOfRange(f"qudit {q} outside register of size {p.n}")
-    if gate.name == "F":
-        q = gate.qudits[0]
-        # Z^{-x} X^z reorders with omega^{x z}
-        gamma += 2 * x[q] * z[q]
-        x[q], z[q] = z[q], (-x[q]) % d
-    elif gate.name == "S":
-        q = gate.qudits[0]
-        alpha = gate.param % d
-        abar = inv_mod(alpha, d)
-        x[q] = (abar * x[q]) % d
-        z[q] = (alpha * z[q]) % d
-    elif gate.name == "W":
-        q = gate.qudits[0]
-        e = 1 if d % 2 == 0 else 0
-        # (lambda^e X Z)^x = lambda^{e x} omega^{-x(x-1)/2} X^x Z^x
-        gamma += e * x[q] - x[q] * (x[q] - 1)
-        z[q] = (z[q] + x[q]) % d
-    elif gate.name == "X":
-        q = gate.qudits[0]
-        gamma += 2 * gate.param * z[q]
-    elif gate.name == "Z":
-        q = gate.qudits[0]
-        gamma -= 2 * gate.param * x[q]
-    elif gate.name == "CP":
-        q, r = gate.qudits
-        if q == r:
-            raise IndexOutOfRange("CP needs distinct qudits")
-        w = gate.param
-        gamma += 2 * w * x[q] * x[r]
-        z[q] = (z[q] - w * x[r]) % d
-        z[r] = (z[r] - w * x[q]) % d
-    elif gate.name == "CNOT":
-        q, r = gate.qudits
-        if q == r:
-            raise IndexOutOfRange("CNOT needs distinct qudits")
-        z[q] = (z[q] + z[r]) % d
-        x[r] = (x[r] - x[q]) % d
-    else:
-        raise ShapeMismatch(f"unknown gate {gate.name!r}")
-    return PauliProduct(d, gamma, tuple(x), tuple(z))
+    return conjugate_all([gate], [p])[0]
 
 
 def conjugate(gates, p: PauliProduct) -> PauliProduct:
     """U p U^dag for the circuit U that applies `gates` in list order."""
-    for g in gates:
-        p = gate_conjugate(g, p)
-    return p
+    return conjugate_all(gates, [p])[0]
 
 
 def _square_shear(q: int, r: int, d: int) -> list[Gate]:

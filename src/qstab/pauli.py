@@ -18,6 +18,7 @@ throughout:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
@@ -93,33 +94,49 @@ def _check_shapes(p: PauliProduct, q: PauliProduct) -> None:
             f"operands differ: (D={p.d}, n={p.n}) vs (D={q.d}, n={q.n})")
 
 
-def multiply(p: PauliProduct, q: PauliProduct) -> PauliProduct:
-    """Normal-ordered operator product p * q.
+def to_row(p: PauliProduct) -> list[int]:
+    """p as the integer row [gamma, x_1 .. x_n, z_1 .. z_n]."""
+    return [p.gamma, *p.x, *p.z]
 
-    Moving each Z^{z_i(p)} left past X^{x_i(q)} contributes
-    omega^{-z_i(p) x_i(q)}, i.e. gamma -= 2 * sum_i z_i(p) x_i(q).
+
+def from_row(d: int, row: list[int]) -> PauliProduct:
+    """The Pauli product of a [gamma, x, z] row (inverse of to_row)."""
+    n = len(row) // 2
+    return PauliProduct(d, row[0], tuple(row[1:n + 1]), tuple(row[n + 1:]))
+
+
+def row_multiply(a: list[int], b: list[int], d: int) -> list[int]:
+    """Row of the normal-ordered product a * b.
+
+    Moving each Z^{z_i(a)} left past X^{x_i(b)} contributes
+    omega^{-z_i(a) x_i(b)}, i.e. gamma -= 2 * sum_i z_i(a) x_i(b).
     """
-    _check_shapes(p, q)
-    d = p.d
-    reorder = sum(zp * xq for zp, xq in zip(p.z, q.x))
-    gamma = (p.gamma + q.gamma - 2 * reorder) % (2 * d)
-    x = tuple((a + b) % d for a, b in zip(p.x, q.x))
-    z = tuple((a + b) % d for a, b in zip(p.z, q.z))
-    return PauliProduct(d, gamma, x, z)
+    n = len(a) // 2
+    reorder = sum(map(operator.mul, a[n + 1:], b[1:n + 1]))
+    return ([(a[0] + b[0] - 2 * reorder) % (2 * d)]
+            + [(u + v) % d for u, v in zip(a[1:], b[1:])])
 
 
-def power(p: PauliProduct, k: int) -> PauliProduct:
-    """p^k for any integer k (negative k gives inverse powers).
+def row_power(a: list[int], k: int, d: int) -> list[int]:
+    """Row of a^k for any integer k (negative k gives inverse powers).
 
     Closed form: gamma(k) = k*gamma - k(k-1) * sum_i x_i z_i mod 2D, which is
     the accumulated reordering phase of k-fold multiplication.
     """
-    d = p.d
-    sigma = sum(a * b for a, b in zip(p.x, p.z))
-    gamma = (k * p.gamma - k * (k - 1) * sigma) % (2 * d)
-    x = tuple((k * a) % d for a in p.x)
-    z = tuple((k * a) % d for a in p.z)
-    return PauliProduct(d, gamma, x, z)
+    n = len(a) // 2
+    sigma = sum(map(operator.mul, a[1:n + 1], a[n + 1:]))
+    return [(k * a[0] - k * (k - 1) * sigma) % (2 * d)] + [k * v % d for v in a[1:]]
+
+
+def multiply(p: PauliProduct, q: PauliProduct) -> PauliProduct:
+    """Normal-ordered operator product p * q (see row_multiply)."""
+    _check_shapes(p, q)
+    return from_row(p.d, row_multiply(to_row(p), to_row(q), p.d))
+
+
+def power(p: PauliProduct, k: int) -> PauliProduct:
+    """p^k for any integer k (see row_power)."""
+    return from_row(p.d, row_power(to_row(p), k, p.d))
 
 
 def inverse(p: PauliProduct) -> PauliProduct:

@@ -16,8 +16,8 @@ from .clifford import (
     Gate,
     cnot,
     cphase,
+    conjugate_all,
     fourier,
-    gate_conjugate,
     pauli_x,
     pauli_z,
     phase_w,
@@ -82,10 +82,7 @@ def random_part_gates(d: int, qudits, rng: random.Random,
 
 
 def scramble_group(group: StabilizerGroup, gates) -> StabilizerGroup:
-    gens = list(group.gens)
-    for g in gates:
-        gens = [gate_conjugate(g, x) for x in gens]
-    return StabilizerGroup(group.d, group.n, tuple(gens))
+    return StabilizerGroup(group.d, group.n, conjugate_all(gates, group.gens))
 
 
 def random_state(d: int, n: int, seed: int) -> StabilizerGroup:

@@ -4,7 +4,8 @@ Groups are lists of independent commuting Pauli products with g^order(g) = I
 exactly, over prime or squarefree D. All group-membership and independence
 questions reduce to linear algebra over F_p per prime factor, recombined
 through the CRT lift; that keeps everything exact for composite D where Z_D
-is not a field.
+is not a field. Generator elimination runs on [gamma, x, z] integer rows
+with the closed forms of pauli.row_multiply and row_power.
 
 Generator lists may be longer than n for intermediate objects; sizes always
 come from the product of generator orders, never from a |gens| = n assumption.
@@ -13,6 +14,7 @@ come from the product of generator orders, never from a |gens| = n assumption.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -26,15 +28,18 @@ from .errors import (
 from .modring import factorize, inv_mod
 from .pauli import (
     PauliProduct,
-    commutation_phase,
     from_exponents,
+    from_row,
     identity,
     is_identity_on,
     multiply,
     order,
     power,
     restrict,
+    row_multiply,
+    row_power,
     tensor,
+    to_row,
     to_text,
     x_op,
     z_op,
@@ -79,16 +84,22 @@ class StabilizerGroup:
         mod = factorize(self.d)
         if not mod.squarefree:
             raise NotSquarefree(f"stabilizer groups need squarefree D, got {self.d}")
+        # the commutation phase of g and h is the dot product of
+        # (x_g, z_g) with (z_h, -x_h)
+        left, right = [], []
         for g in self.gens:
             if g.d != self.d or g.n != self.n:
                 raise ShapeMismatch("generator shape differs from group shape")
-            if not power(g, order(g)).is_identity():
+            if any(row_power(to_row(g), order(g), self.d)):
                 raise InvalidStabilizer(
                     f"generator {to_text(g)} has g^order(g) != I")
-        for a, b in itertools.combinations(self.gens, 2):
-            if commutation_phase(a, b) != 0:
+            left.append(g.x + g.z)
+            right.append(g.z + tuple(-v for v in g.x))
+        for a, b in itertools.combinations(range(len(self.gens)), 2):
+            if sum(map(operator.mul, left[a], right[b])) % self.d:
                 raise InvalidStabilizer(
-                    f"generators {to_text(a)} and {to_text(b)} do not commute")
+                    f"generators {to_text(self.gens[a])} and "
+                    f"{to_text(self.gens[b])} do not commute")
         for p in mod.primes:
             rows = [_reduced_row(g, p) for g in self.gens if order(g) % p == 0]
             if rows and linalg.rank(rows, p) != len(rows):
@@ -122,45 +133,35 @@ def reduce_generators(d: int, paulis: list[PauliProduct], n: int) -> list[PauliP
     """Canonical independent generator list for the group generated by `paulis`.
 
     Per prime factor, the Sylow components are Gauss-eliminated with actual
-    group operations (so phases ride along exactly); pivots are normalized to
-    exponent 1. The per-prime reduced echelon basis is unique, which makes the
-    output a canonical form: two generating sets of the same group reduce to
-    identical lists.
+    group operations on [gamma, x, z] integer rows (so phases ride along
+    exactly); pivots are normalized to exponent 1. The per-prime reduced
+    echelon basis is unique, which makes the output a canonical form: two
+    generating sets of the same group reduce to identical lists.
     """
     mod = factorize(d)
     out: list[PauliProduct] = []
     for p in mod.primes:
-        rows: list[PauliProduct] = []
-        coords: list[list[int]] = []
+        rows: list[list[int]] = []
         for g in paulis:
-            comp = sylow_component(g, p)
-            if comp.is_phase():
-                if not comp.is_identity():
-                    raise InvalidStabilizer("nontrivial phase element in group")
-                continue
-            rows.append(comp)
-            coords.append(_reduced_row(comp, p))
-        ncols = 2 * n
+            delta = order(g)
+            if delta % p == 0:     # else the Sylow component is the identity
+                rest = delta // p
+                rows.append(row_power(to_row(g), rest * inv_mod(rest % p, p), d))
         r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, len(rows)) if coords[i][c]), None)
+        for c in range(1, 2 * n + 1):
+            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
             if pivot is None:
                 continue
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            coords[r], coords[pivot] = coords[pivot], coords[r]
-            inv = inv_mod(coords[r][c], p)
-            rows[r] = power(rows[r], inv)
-            coords[r] = [(v * inv) % p for v in coords[r]]
-            for i in range(len(rows)):
-                if i != r and coords[i][c]:
-                    f = coords[i][c]
-                    rows[i] = multiply(rows[i], power(rows[r], -f))
-                    coords[i] = [(a - f * b) % p for a, b in zip(coords[i], coords[r])]
+            head = rows[r] = row_power(rows[r], inv_mod(rows[r][c] % p, p), d)
+            for i, row in enumerate(rows):
+                f = row[c] % p
+                if i != r and f:
+                    rows[i] = row_multiply(row, row_power(head, -f, d), d)
             r += 1
-        for i in range(r, len(rows)):
-            if not rows[i].is_identity():
-                raise InvalidStabilizer("dependent generators with phase residue")
-        out.extend(rows[:r])
+        if any(any(row) for row in rows[r:]):
+            raise InvalidStabilizer("dependent generators with phase residue")
+        out.extend(from_row(d, row) for row in rows[:r])
     return out
 
 
@@ -192,11 +193,11 @@ def _crt_lift_multiplier(d: int, p: int) -> int:
 
 
 def _element_from_coeffs(group: StabilizerGroup, coeffs: list[int]) -> PauliProduct:
-    el = identity(group.d, group.n)
+    row = [0] * (2 * group.n + 1)
     for g, c in zip(group.gens, coeffs):
         if c % order(g):
-            el = multiply(el, power(g, c))
-    return el
+            row = row_multiply(row, row_power(to_row(g), c, group.d), group.d)
+    return from_row(group.d, row)
 
 
 def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:

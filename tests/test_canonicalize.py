@@ -368,17 +368,23 @@ def test_exactness_replays_once_per_built_form(monkeypatch):
     s = random_state(5, 5, 2)
     nf = tripartition_normal_form(s, [0, 1], [2, 3], [4])
     calls = []
-    real = canonicalize.conjugate
-    monkeypatch.setattr(canonicalize, "conjugate",
-                        lambda gates, p: calls.append(1) or real(gates, p))
+    real = canonicalize.conjugate_all
+
+    def spy(gates, paulis):
+        paulis = tuple(paulis)
+        calls.append(len(paulis))
+        return real(gates, paulis)
+
+    monkeypatch.setattr(canonicalize, "conjugate_all", spy)
     assert is_exact(s, nf) and not calls
-    # a parsed report, a copy, or another input is replayed in full
+    # a parsed report, a copy, or another input is replayed in full: one
+    # batched replay over all five generators each
     assert is_exact(s, parse_normal_form(render_normal_form(nf)))
-    assert len(calls) == 5
+    assert calls == [5]
     assert is_exact(s, dataclasses.replace(nf))
     other = random_state(5, 5, 3)
     assert not is_exact(other, nf)
-    assert len(calls) == 15
+    assert calls == [5, 5, 5]
 
 
 def test_non_local_circuits_are_not_exact():

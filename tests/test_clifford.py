@@ -1,14 +1,19 @@
 """Clifford gate lists: gate rules, composition, inversion, pivoting, dense
 agreement."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstab import oracle
 from qstab.clifford import (
+    GATE_NAMES,
+    Gate,
     cnot,
     conjugate,
+    conjugate_all,
     cphase,
     fourier,
     gate_conjugate,
@@ -313,3 +318,74 @@ def test_inverse_matches_dense_up_to_phase():
         phase = product[0, 0]
         assert abs(abs(phase) - 1) < 1e-9
         assert oracle.matrices_equal(product, phase * oracle.clifford_matrix(d, n, []))
+
+
+def reference_conjugate(gates, p):
+    """Gate-by-gate conjugation of one Pauli product, rebuilt after every
+    gate: the per-row rules the batched replay must reproduce."""
+    d = p.d
+    for gate in gates:
+        x, z, gamma = list(p.x), list(p.z), p.gamma
+        q = gate.qudits[0]
+        if gate.name == "F":
+            gamma += 2 * x[q] * z[q]
+            x[q], z[q] = z[q], -x[q]
+        elif gate.name == "S":
+            x[q] *= inv_mod(gate.param, d)
+            z[q] *= gate.param
+        elif gate.name == "W":
+            gamma += (1 - d % 2) * x[q] - x[q] * (x[q] - 1)
+            z[q] += x[q]
+        elif gate.name == "X":
+            gamma += 2 * gate.param * z[q]
+        elif gate.name == "Z":
+            gamma -= 2 * gate.param * x[q]
+        elif gate.name == "CP":
+            r, w = gate.qudits[1], gate.param
+            gamma += 2 * w * x[q] * x[r]
+            z[q] -= w * x[r]
+            z[r] -= w * x[q]
+        else:
+            r = gate.qudits[1]
+            z[q] += z[r]
+            x[r] -= x[q]
+        p = from_exponents(d, x, z, gamma)
+    return p
+
+
+@st.composite
+def circuits_and_rows(draw):
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 1009, 2**31 - 1]))
+    n = draw(st.integers(1, 3 if d <= 7 else 5))
+    names = GATE_NAMES if n > 1 else GATE_NAMES[:5]
+    near_d = st.integers(d - 3, d + 3) | st.integers(0, d - 1)
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=14)):
+        q = draw(st.integers(0, n - 1))
+        if name in ("CP", "CNOT"):
+            r = draw(st.integers(0, n - 2))
+            r += r >= q
+            gates.append(Gate(name, (q, r), draw(near_d) if name == "CP" else 0))
+        elif name == "S":
+            unit = st.integers(1, d - 1).filter(lambda a: math.gcd(a, d) == 1)
+            gates.append(smult(q, draw(unit)))
+        else:
+            gates.append(Gate(name, (q,), draw(st.integers(0, 2 * d))))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    rows = [from_exponents(d, draw(exps), draw(exps), draw(st.integers(0, 2 * d - 1)))
+            for _ in range(draw(st.integers(1, 6)))]
+    return d, n, gates, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits_and_rows())
+def test_batched_conjugation_equals_per_row(case):
+    d, n, gates, rows = case
+    batched = conjugate_all(gates, rows)
+    assert batched == tuple(reference_conjugate(gates, p) for p in rows)
+    assert batched == tuple(conjugate(gates, p) for p in rows)
+    if d <= 7:
+        u = oracle.clifford_matrix(d, n, gates)
+        for p, image in zip(rows, batched):
+            assert oracle.matrices_equal(u @ oracle.pauli_matrix(p) @ u.conj().T,
+                                         oracle.pauli_matrix(image))

@@ -1,0 +1,76 @@
+"""Hypothesis properties of tripartition normal forms over the whole D set.
+
+D runs over primes and squarefree composites, n from 0 to 10, and every
+qudit lands in a random part, so parts may be empty. Each drawn instance
+must conserve qudits, match the algebraic cut ranks, come out the same
+twice, keep its counts under local Cliffords, and, at composite D, carry
+per-factor forms that re-verify against the CRT factors.
+"""
+
+import dataclasses
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from qstab.canonicalize import is_exact, tripartition_normal_form
+from qstab.crt import decompose_state
+from qstab.formats import render_normal_form
+from qstab.modring import factorize
+from qstab.randgen import random_part_gates, random_state, scramble_group
+from qstab.stabilizer import reduced_rank
+
+
+@st.composite
+def tripartitioned_states(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
+    n = draw(st.integers(0, 10))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    parts = [[q for q in range(n) if labels[q] == i] for i in range(3)]
+    return random_state(d, n, draw(st.integers(0, 2**32 - 1))), parts
+
+
+def _prime_forms(nf):
+    return [sub for _, sub in nf.factors] if nf.factors else [nf]
+
+
+def _factor_counts(nf):
+    return [sub.counts for sub in _prime_forms(nf)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(tripartitioned_states(), st.randoms(use_true_random=False))
+def test_tripartition_properties(case, rng: random.Random):
+    group, parts = case
+    nf = tripartition_normal_form(group, *parts)
+    primes = factorize(group.d).primes
+
+    # qudit conservation, per prime factor
+    for sub in _prime_forms(nf):
+        for i, part in enumerate(parts):
+            pairs = sum(m for (a, b), m in (((0, 1), sub.m_ab), ((0, 2), sub.m_ac),
+                                            ((1, 2), sub.m_bc)) if i in (a, b))
+            singles = (sub.m_a, sub.m_b, sub.m_c)[i]
+            assert singles + pairs + sub.m_abc == len(part)
+
+    # the cut rank each part sees is the algebraic rank of its reduced state
+    for i, part in enumerate(parts):
+        rank = 1
+        for p, sub in zip(primes, _prime_forms(nf)):
+            rank *= p ** sub.crossing_count([i])
+        assert reduced_rank(group, part) == rank
+
+    # determinism
+    again = tripartition_normal_form(group, *parts)
+    assert render_normal_form(again) == render_normal_form(nf)
+
+    # local Cliffords on each part change no count
+    local = [g for part in parts if part
+             for g in random_part_gates(group.d, part, rng, 6)]
+    moved = tripartition_normal_form(scramble_group(group, local), *parts)
+    assert _factor_counts(moved) == _factor_counts(nf)
+
+    # per-factor forms re-verify against the CRT factors, replayed in full
+    if nf.factors:
+        for (p, sub), (p2, factor) in zip(nf.factors, decompose_state(group)):
+            assert p == p2
+            assert is_exact(factor, dataclasses.replace(sub))
