@@ -86,12 +86,13 @@ def parse_stabilizer(text: str) -> StabilizerGroup:
 
 # --------------------------------------------------------------------- graph
 
+def _edge_lines(adj: GraphAdjacency) -> list[str]:
+    return [f"{i + 1} {j + 1} {adj.weights[i][j]}" for i in range(adj.n)
+            for j in range(i + 1, adj.n) if adj.weights[i][j]]
+
+
 def render_graph(adj: GraphAdjacency, d: int) -> str:
-    out = [f"{MAGIC} graph", f"D {d} n {adj.n}"]
-    for i in range(adj.n):
-        for j in range(i + 1, adj.n):
-            if adj.weights[i][j]:
-                out.append(f"{i + 1} {j + 1} {adj.weights[i][j]}")
+    out = [f"{MAGIC} graph", f"D {d} n {adj.n}", *_edge_lines(adj)]
     return "\n".join(out) + "\n"
 
 
@@ -123,12 +124,8 @@ def parse_graph(text: str) -> tuple[GraphAdjacency, int]:
 # ---------------------------------------------------------------------- code
 
 def render_code(code: CodeSpec) -> str:
-    out = [f"{MAGIC} code", f"D {code.d} n {code.n} k {code.k}"]
-    for i in range(code.n):
-        for j in range(i + 1, code.n):
-            if code.graph.weights[i][j]:
-                out.append(f"{i + 1} {j + 1} {code.graph.weights[i][j]}")
-    out.append("CODING")
+    out = [f"{MAGIC} code", f"D {code.d} n {code.n} k {code.k}",
+           *_edge_lines(code.graph), "CODING"]
     out.extend(to_text(f) for f in code.coding_gens)
     return "\n".join(out) + "\n"
 

@@ -5,18 +5,24 @@ operators as explicit complex matrices (X = sum_j |j><j+1|, Z = diag(omega^j),
 lambda = exp(i pi / D)) and is used to cross-check the algebraic fast path at
 desk scale. Tolerances live in two constants: ZERO_TOL for rank/nullity
 decisions and EQ_TOL for entrywise equality.
+
+States, isometries and brute-force information groups act with Pauli products
+by index arithmetic (_pauli_action), never through D^n x D^n matrices, the
+group enumeration or the exact-path Pauli algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 
 import numpy as np
 
 from .clifford import Gate
 from .errors import NotAState, NotRankOne, TooLarge
 from .pauli import PauliProduct
-from .stabilizer import StabilizerGroup, elements
+from .stabilizer import StabilizerGroup
 
 ZERO_TOL = 1e-9
 EQ_TOL = 1e-10
@@ -39,10 +45,7 @@ def _omega(d: int) -> complex:
 
 
 def x_matrix(d: int, a: int = 1) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[j, (j + a) % d] = 1.0
-    return m
+    return np.eye(d, dtype=complex)[(np.arange(d) + a) % d]
 
 
 def z_matrix(d: int, b: int = 1) -> np.ndarray:
@@ -63,17 +66,12 @@ def fourier_matrix(d: int) -> np.ndarray:
 
 
 def smult_matrix(d: int, alpha: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[j, (alpha * j) % d] = 1.0
-    return m
+    return np.eye(d, dtype=complex)[alpha * np.arange(d) % d]
 
 
 def phase_w_matrix(d: int) -> np.ndarray:
-    lam = _lam(d)
-    if d % 2 == 0:
-        return np.diag([lam ** (-j * (j + 2)) for j in range(d)])
-    return np.diag([lam ** (-j * (j + 1)) for j in range(d)])
+    shift = 2 if d % 2 == 0 else 1
+    return np.diag([_lam(d) ** (-j * (j + shift)) for j in range(d)])
 
 
 def _digit_weights(d: int, n: int) -> np.ndarray:
@@ -100,22 +98,16 @@ def gate_matrix(gate: Gate, d: int, n: int) -> np.ndarray:
             local = x_matrix(d, gate.param)
         else:
             local = z_matrix(d, gate.param)
-        m = np.array([[1.0 + 0j]])
-        for i in range(n):
-            m = np.kron(m, local if i == q else np.eye(d))
-        return m
+        return np.kron(np.kron(np.eye(d**q), local), np.eye(d ** (n - 1 - q)))
     digs = _digits(d, n)
     q, r = gate.qudits
     if gate.name == "CP":
         return np.diag(_omega(d) ** ((gate.param * digs[:, q] * digs[:, r]) % d))
     if gate.name == "CNOT":
-        m = np.zeros((dim, dim), dtype=complex)
-        weights = _digit_weights(d, n)
-        for col in range(dim):
-            mr = (digs[col, r] - digs[col, q]) % d
-            row = col + (mr - digs[col, r]) * weights[r]
-            m[row, col] = 1.0
-        return m
+        # CNOT maps a_r to a_r - a_q, so row m is column m with a_r + a_q
+        src_shift = (digs[:, r] + digs[:, q]) % d - digs[:, r]
+        return np.eye(dim, dtype=complex)[np.arange(dim)
+                                          + src_shift * _digit_weights(d, n)[r]]
     raise ValueError(f"unknown gate {gate.name!r}")
 
 
@@ -127,54 +119,76 @@ def clifford_matrix(d: int, n: int, gates) -> np.ndarray:
     return u
 
 
+def _outer_sum(tables) -> np.ndarray:
+    """t[m] = sum_i tables[i][m_i] over big-endian multi-indices m."""
+    out = np.zeros(1, dtype=int)
+    for table in tables:
+        out = np.add.outer(out, table).reshape(-1)
+    return out
+
+
+def _pauli_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, phase) with p |m> = phase[m] |idx[m]>: X^x Z^z |m> = omega^{z.m}
+    |m - x>, times lambda^gamma, as one exp of a lambda exponent mod 2D."""
+    d = p.d
+    ket = np.arange(d)
+    idx = _outer_sum([(ket - x) % d * w
+                      for x, w in zip(p.x, _digit_weights(d, p.n))])
+    lam_exp = (p.gamma + 2 * _outer_sum([ket * z % d for z in p.z])) % (2 * d)
+    return idx, np.exp(1j * np.pi / d * lam_exp)
+
+
+def _act(action: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Apply an (idx, phase) action along the first axis of v."""
+    idx, phase = action
+    out = np.empty_like(v)
+    out[idx] = phase.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+    return out
+
+
+def _orbit(action: tuple[np.ndarray, np.ndarray], v: np.ndarray, d: int):
+    """v, g v, ..., g^{D-1} v for the action of g."""
+    return itertools.accumulate(range(d - 1), lambda w, _: _act(action, w), initial=v)
+
+
 def apply_pauli_vec(p: PauliProduct, v: np.ndarray) -> np.ndarray:
     """p |v> using index arithmetic: X^x Z^z |m> = omega^{z.m} |m - x>."""
-    d, n = p.d, p.n
-    digs = _digits(d, n)
-    weights = _digit_weights(d, n)
-    phase = _lam(d) ** p.gamma * _omega(d) ** (digs @ np.array(p.z) % d)
-    new_idx = ((digs - np.array(p.x)) % d) @ weights
-    out = np.zeros_like(v)
-    out[new_idx] = phase * v
-    return out
+    return _act(_pauli_action(p), v)
 
 
 def state_from_group(group: StabilizerGroup) -> np.ndarray:
     """Unit vector of the unique stabilizer state of a D^n-element group.
 
-    Built as a projector column (1/D^n) sum_s s |m0> for the first basis ket
-    with nonzero overlap, then verified against every generator; a generator
-    that fails to fix the vector signals an inconsistent group.
+    A seeded random vector is projected through (1/D) sum_{k<D} g^k, the
+    projector onto g's +1 eigenspace (g^order(g) = I and order(g) | D), for
+    each generator g; the product has rank D^n / |S| = 1. A vanishing
+    projection or a generator that does not fix the normalized result means
+    an inconsistent group.
     """
     if not group.is_state():
         raise NotAState(f"group size {group.size} != {group.d}^{group.n}")
-    dim = _check_cap(group.d, group.n)
-    d, n = group.d, group.n
-    lam = _lam(d)
-    om = _omega(d)
-    for m0 in range(dim):
-        m0_digits = [(m0 // d ** (n - 1 - i)) % d for i in range(n)]
-        v = np.zeros(dim, dtype=complex)
-        for s in elements(group):
-            phase = lam**s.gamma * om ** (sum(z * m for z, m in zip(s.z, m0_digits)) % d)
-            target_digits = [(m - x) % d for m, x in zip(m0_digits, s.x)]
-            target = sum(t * d ** (n - 1 - i) for i, t in enumerate(target_digits))
-            v[target] += phase
-        norm = np.linalg.norm(v)
-        if norm > ZERO_TOL:
-            v /= norm
-            for g in group.gens:
-                if np.max(np.abs(apply_pauli_vec(g, v) - v)) > ZERO_TOL:
-                    raise NotRankOne("projector sum is not a rank-1 projector")
-            return v
-    raise NotRankOne("projector sum vanished on every basis column")
+    d, dim = group.d, _check_cap(group.d, group.n)
+    rng = random.Random(0)
+    v = np.array([rng.random() - 0.5 for _ in range(2 * dim)]).view(complex)
+    actions = [_pauli_action(g) for g in group.gens]
+    for action in actions:
+        v = sum(_orbit(action, v, d)) / d
+    norm = np.linalg.norm(v)
+    if norm <= ZERO_TOL:
+        raise NotRankOne("projection onto the group's fixed space vanished")
+    v /= norm
+    if any(np.max(np.abs(_act(a, v) - v)) > ZERO_TOL for a in actions):
+        raise NotRankOne("projector product is not a rank-1 projector")
+    return v
 
 
 def _part_axes(v: np.ndarray, part, d: int, n: int) -> np.ndarray:
+    """v with its n qudit axes grouped as (part, rest); later axes follow."""
     part = sorted(part)
     rest = [i for i in range(n) if i not in part]
-    t = v.reshape([d] * n).transpose(part + rest)
-    return t.reshape(d ** len(part), d ** len(rest))
+    t = v.reshape([d] * n + list(v.shape[1:]))
+    t = t.transpose(part + rest + list(range(n, t.ndim)))
+    return t.reshape(d ** len(part), d ** len(rest), *v.shape[1:])
 
 
 def reduced_density(v: np.ndarray, part, d: int, n: int) -> np.ndarray:
@@ -204,16 +218,11 @@ def isometry_from_code(graph_group: StabilizerGroup, coding_gens) -> np.ndarray:
     d = graph_group.d
     n = graph_group.n
     k = len(coding_gens)
-    if d ** (n + k) > DIMENSION_CAP:
-        raise TooLarge(f"dense dimension {d}^{n + k} exceeds {DIMENSION_CAP}")
-    g_vec = state_from_group(graph_group)
-    v = np.zeros((d**n, d**k), dtype=complex)
-    for col, combo in enumerate(itertools.product(range(d), repeat=k)):
-        ket = g_vec
-        for f, c in zip(coding_gens, combo):
-            for _ in range(c):
-                ket = apply_pauli_vec(f, ket)
-        v[:, col] = ket
+    _check_cap(d, n + k)
+    # column (i_1 .. i_j) is f_j^{i_j} on column (i_1 .. i_{j-1}), i_j fastest
+    v = state_from_group(graph_group)[:, None]
+    for f in coding_gens:
+        v = np.stack(list(_orbit(_pauli_action(f), v, d)), axis=2).reshape(d**n, -1)
     return v
 
 
@@ -241,12 +250,19 @@ def pauli_transmitted(v_iso: np.ndarray, keep, d: int, n: int,
 
 def brute_force_info_group(v_iso: np.ndarray, keep, d: int, n: int,
                            k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (x, z) exponent patterns on the k inputs with nonzero channel image."""
+    """All (x, z) exponent patterns on the k inputs with nonzero channel image.
+
+    The image of P is Tr_rest(V P V^dag); with (V P)[:, m] = phase[m] V[:, idx[m]]
+    it is one contraction over the dropped qudits and the inputs.
+    """
+    t = _part_axes(v_iso, keep, d, n)
+    t_conj = t.conj()
     out = []
     for xs in itertools.product(range(d), repeat=k):
         for zs in itertools.product(range(d), repeat=k):
-            p = PauliProduct(d, 0, xs, zs)
-            if pauli_transmitted(v_iso, keep, d, n, p):
+            idx, phase = _pauli_action(PauliProduct(d, 0, xs, zs))
+            image = np.einsum("ari,bri->ab", t[:, :, idx] * phase, t_conj)
+            if np.max(np.abs(image)) > ZERO_TOL:
                 out.append((xs, zs))
     return out
 
@@ -257,31 +273,17 @@ def crt_embedded_state(v: np.ndarray, d: int, n: int, primes) -> np.ndarray:
     comparable with the tensor product of the factor states."""
     primes = list(primes)
     m = len(primes)
-    shape = []
-    for _ in range(n):
-        shape.extend(primes)
-    out = np.zeros(shape, dtype=complex).reshape(-1)
-    fweights = np.ones(m, dtype=int)
-    for f in range(m - 2, -1, -1):
-        fweights[f] = fweights[f + 1] * primes[f + 1]
+    fweights = np.cumprod([1] + primes[:0:-1])[::-1]
     block = int(np.prod(primes))
-    for idx in range(d**n):
-        digits = [(idx // d ** (n - 1 - i)) % d for i in range(n)]
-        pos = 0
-        for a in digits:
-            local = sum((a % p) * w for p, w in zip(primes, fweights))
-            pos = pos * block + local
-        out[pos] = v[idx]
-    t = out.reshape(shape)
+    local = sum(np.arange(d) % p * w for p, w in zip(primes, fweights))
+    out = np.zeros(block**n, dtype=complex)
+    out[_outer_sum(local * w for w in _digit_weights(block, n))] = v
     perm = [q * m + f for f in range(m) for q in range(n)]
-    return t.transpose(perm).reshape(-1)
+    return out.reshape(primes * n).transpose(perm).reshape(-1)
 
 
 def kron_states(states) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for s in states:
-        out = np.kron(out, s)
-    return out
+    return functools.reduce(np.kron, states, np.array([1.0 + 0j]))
 
 
 def pauli_order_dense(p: PauliProduct) -> int:

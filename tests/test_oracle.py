@@ -1,13 +1,17 @@
 """Dense-matrix oracle semantics."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qstab import oracle
+from qstab import oracle, pauli, stabilizer
+from qstab.channel import CodeSpec
 from qstab.clifford import cnot, cphase, fourier, smult
 from qstab.errors import NotAState, TooLarge
-from qstab.pauli import from_exponents, x_op, z_op
-from qstab.randgen import random_state
+from qstab.pauli import PauliProduct, from_exponents, x_op, z_op
+from qstab.randgen import random_code, random_state
 from qstab.stabilizer import (
     GraphAdjacency,
     StabilizerGroup,
@@ -222,3 +226,93 @@ def test_tableau_vs_matrix_conjugation_bulk():
             assert oracle.matrices_equal(
                 u @ oracle.pauli_matrix(p) @ u.conj().T,
                 oracle.pauli_matrix(conjugate(gates, p)))
+
+
+def _apply_by_axes(p, v):
+    """p v by contracting each qudit's local X^x Z^z matrix into its tensor
+    axis: an application path that shares nothing with index arithmetic."""
+    d, n = p.d, p.n
+    t = v.reshape([d] * n)
+    for i in range(n):
+        local = oracle.x_matrix(d, p.x[i]) @ oracle.z_matrix(d, p.z[i])
+        t = np.moveaxis(np.tensordot(local, t, axes=(1, i)), 0, i)
+    return np.exp(1j * np.pi * p.gamma / d) * t.reshape(-1)
+
+
+@st.composite
+def dense_states(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
+    n_max = max(n for n in range(13) if d**n <= oracle.DIMENSION_CAP)
+    n = draw(st.integers(0, n_max))
+    return random_state(d, n, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_states())
+def test_state_build_properties(group):
+    # a unit vector fixed by every generator of a D^n-element group is the
+    # state; at D^n <= 256 it is also the top eigenvector of the literal
+    # projector sum over the enumerated group
+    d, n = group.d, group.n
+    v = oracle.state_from_group(group)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-9
+    for g in group.gens:
+        assert oracle.matrices_equal(_apply_by_axes(g, v), v, tol=1e-9)
+    if d**n <= 256:
+        proj = sum(oracle.pauli_matrix(el)
+                   for el in stabilizer.elements(group)) / d**n
+        evals, evecs = np.linalg.eigh(proj)
+        assert abs(evals[-1] - 1.0) < 1e-9
+        assert oracle.states_equal_up_to_phase(v, evecs[:, -1])
+
+
+def test_dense_oracle_uses_no_exact_path_algebra(monkeypatch):
+    # the state build, the isometry and the brute-force groups must give the
+    # same results with the group enumeration and the Pauli algebra disabled
+    states = [random_state(d, n, 7 * d + n) for d, n in ((2, 5), (3, 4), (6, 3))]
+    graph, coding = random_code(3, 3, 2, 4)
+    code = CodeSpec(3, 2, 3, graph, tuple(coding))
+    graph_group = code.graph_group
+
+    def run():
+        vs = [oracle.state_from_group(s) for s in states]
+        v_iso = oracle.isometry_from_code(graph_group, code.coding_gens)
+        groups = [oracle.brute_force_info_group(v_iso, keep, 3, 3, 2)
+                  for keep in ([0], [1, 2])]
+        return vs, v_iso, groups
+
+    want = run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense oracle reached the exact-path algebra")
+
+    for module, name in ((stabilizer, "elements"), (pauli, "multiply"),
+                         (pauli, "power"), (pauli, "order")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, forbidden)
+        for alias, obj in list(vars(oracle).items()):
+            if obj is original:
+                monkeypatch.setattr(oracle, alias, forbidden)
+    got = run()
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("d, n, k, seed", [
+    (3, 4, 2, 1), (3, 3, 1, 2), (3, 2, 2, 3), (5, 2, 1, 4), (5, 3, 1, 5),
+    (5, 2, 2, 6)])
+def test_brute_force_info_group_matches_kron_reference(d, n, k, seed):
+    # the contraction against conj(V) must transmit exactly the patterns the
+    # V rho V^dag + partial-trace path transmits, for empty, partial and
+    # full kept sets
+    graph, coding = random_code(d, n, k, seed)
+    code = CodeSpec(n, k, d, graph, tuple(coding))
+    v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
+    for keep in ([], list(range(0, n, 2)), list(range(n))):
+        want = [(xs, zs)
+                for xs in itertools.product(range(d), repeat=k)
+                for zs in itertools.product(range(d), repeat=k)
+                if oracle.pauli_transmitted(v_iso, keep, d, n,
+                                            PauliProduct(d, 0, xs, zs))]
+        assert oracle.brute_force_info_group(v_iso, keep, d, n, k) == want
