@@ -3,17 +3,20 @@
 The constructive pipeline, for prime D:
 
   1. unentangled extraction: while some part carries a local subgroup element,
-     pivot it to a bare X on one qudit, rebase the other generators off that
-     qudit, and retire the qudit as a single |+>.
+     pivot it to a bare X on one qudit and retire the qudit as a single |+>.
   2. EPR extraction on a pair of parts: whenever two elements of the
      two-part subgroup have non-commuting first-part components, normalize
      their commutation phase to a single omega, pivot one element to
-     Z Z^{-1}, shape the other to X X across one qudit of each part, rebase
-     the remaining generators off those qudits, and retire the pair.
+     Z Z^{-1}, shape the other to X X across one qudit of each part, and
+     retire the pair.
   3. GHZ extraction: pick a BC-local element and pivot it to Z_b Z_c^{-1};
      locate the AB-local partner carrying the matching Z_b and pivot it to
      Z_a^{-1} Z_b; locate the element whose C-pattern is a bare X_c and shape
-     it to X_a X_b X_c; rebase and retire the triple.
+     it to X_a X_b X_c; retire the triple.
+
+Retiring qudits keeps, as the active generators, the subgroup acting
+trivially on them, by eliminating their columns first
+(stabilizer.rows_on_part).
 
 Squarefree composite D runs per prime factor after CRT decomposition; the
 composite counts are reported as the componentwise minimum across factors
@@ -48,13 +51,16 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
-from .pauli import PauliProduct, identity, multiply, power, x_op
+from .pauli import (PauliProduct, from_row, power, row_multiply, row_power,
+                    to_row, x_op)
 from .stabilizer import (
     StabilizerGroup,
     canonical_form,
     epr_pair_generators,
     ghz_generators,
+    qudit_columns,
     reduce_generators,
+    rows_on_part,
     subgroup_on_part,
 )
 
@@ -178,6 +184,7 @@ class _Extraction:
         self.parts = [list(p) for p in partition.parts]
         self.active: list[PauliProduct] = list(
             reduce_generators(group.d, list(group.gens), group.n))
+        self._group: StabilizerGroup | None = None
         self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
         self.singles: list[tuple[int, int]] = []
@@ -188,7 +195,10 @@ class _Extraction:
         return [q for q in self.parts[part_idx] if q not in self.retired]
 
     def active_group(self) -> StabilizerGroup:
-        return StabilizerGroup(self.d, self.n, tuple(self.active))
+        """The validated active group, built once per change of `active`."""
+        if self._group is None:
+            self._group = StabilizerGroup(self.d, self.n, tuple(self.active))
+        return self._group
 
     def apply(self, part_idx: int, gates: list[Gate],
               tracked: list[PauliProduct]) -> list[PauliProduct]:
@@ -200,10 +210,18 @@ class _Extraction:
         k = len(self.active)
         rows = conjugate_all(gates, self.active + tracked)
         self.active = list(rows[:k])
+        self._group = None
         return list(rows[k:])
 
-    def reduce_active(self, paulis: list[PauliProduct]) -> None:
-        self.active = list(reduce_generators(self.d, paulis, self.n))
+    def retire(self, qudits) -> None:
+        """Retire `qudits`: the active list becomes the canonical generators,
+        on the remaining qudits, of the subgroup acting trivially on them."""
+        self.retired.update(qudits)
+        keep = [q for q in range(self.n) if q not in self.retired]
+        rows = rows_on_part([to_row(g) for g in self.active], self.n, keep,
+                            self.d, self.d)
+        self.active = [from_row(self.d, row) for row in rows]
+        self._group = None
         expected = self.d ** (self.n - len(self.retired))
         if self.active_group().size != expected:
             raise InternalInvariant("active group lost or gained elements")
@@ -236,24 +254,18 @@ def _comm_on(p: PauliProduct, q: PauliProduct, qudits, d: int) -> int:
     return sum(p.x[i] * q.z[i] - p.z[i] * q.x[i] for i in qudits) % d
 
 
-def _columns(g: PauliProduct, qudits) -> list[int]:
-    return [g.x[i] for i in qudits] + [g.z[i] for i in qudits]
-
-
 def _solve_for_pattern(gens: list[PauliProduct], qudits, target: list[int],
                        d: int, n: int) -> PauliProduct | None:
-    """Group element whose exponents on `qudits` equal `target` (prime D)."""
-    if not gens:
+    """Group element whose exponents on `qudits` equal `target` (prime D),
+    in the span of the earliest generators independent on `qudits`."""
+    columns = qudit_columns(n, qudits)
+    basis, pivots, _ = linalg.echelon([to_row(g) for g in gens], columns, d, d)
+    row = [0] * (2 * n + 1)
+    for head, c in zip(basis, pivots):
+        row = row_multiply(row, row_power(head, target[columns.index(c)], d), d)
+    if [row[c] for c in columns] != target:
         return None
-    rows = [_columns(g, qudits) for g in gens]
-    coeffs = linalg.solve(rows, target, d)
-    if coeffs is None:
-        return None
-    el = identity(d, n)
-    for g, c in zip(gens, coeffs):
-        if c:
-            el = multiply(el, power(g, c))
-    return el
+    return from_row(d, row)
 
 
 def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
@@ -271,11 +283,8 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     (s,) = ctx.strip_phase(part_idx, [s], 0, target, use_x=False)
     if s != x_op(ctx.d, ctx.n, target):
         raise InternalInvariant("single-qudit pivot failed")
-    # every group element commutes with s = X_target, so no Z_target appears
-    rebased = [multiply(g, power(s, -g.x[target])) for g in ctx.active]
-    ctx.retired.add(target)
     ctx.singles.append((target, part_idx))
-    ctx.reduce_active([g for g in rebased if not (g.x[target] or g.z[target])])
+    ctx.retire([target])
     return True
 
 
@@ -318,13 +327,8 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     pair_gens = epr_pair_generators(ctx.d, ctx.n, qx, qy)
     if s_k != pair_gens[0] or s_j != pair_gens[1]:
         raise InternalInvariant("EPR shaping failed")
-    rebased = [multiply(g, multiply(power(s_k, -g.x[qx]),
-                                    power(s_j, -g.z[qx])))
-               for g in ctx.active]
-    ctx.retired.update((qx, qy))
     ctx.pairs.append((pi, pj, qx, qy))
-    ctx.reduce_active([g for g in rebased
-                       if not any(g.x[q] or g.z[q] for q in (qx, qy))])
+    ctx.retire([qx, qy])
     return True
 
 
@@ -377,17 +381,8 @@ def _extract_ghz_once(ctx: _Extraction) -> bool:
     if t1 != zb_zc or t2 != za_zb or t3 != xxx:
         raise InternalInvariant("GHZ shaping failed")
 
-    rebased = []
-    for g in ctx.active:
-        g1 = multiply(g, power(t3, -g.x[qa]))
-        a_exp = g1.z[qa]
-        b_exp = g1.z[qb]
-        rebased.append(multiply(g1, multiply(power(t2, a_exp),
-                                             power(t1, -(a_exp + b_exp)))))
-    ctx.retired.update((qa, qb, qc))
     ctx.triples.append((qa, qb, qc))
-    ctx.reduce_active([g for g in rebased
-                       if not any(g.x[q] or g.z[q] for q in (qa, qb, qc))])
+    ctx.retire([qa, qb, qc])
     return True
 
 

@@ -259,21 +259,13 @@ def centralizer_in_pauli(gens, d: int, k: int) -> tuple[PauliProduct, ...]:
         if any(g.x) or any(g.z):
             rows.append([v % d for v in g.z] + [(-v) % d for v in g.x])
     out: list[PauliProduct] = [phase_op(d, k, 1)]
-    if not rows:
-        basis = [[1 if i == j else 0 for j in range(2 * k)]
-                 for i in range(2 * k)]
-    else:
-        basis = linalg.nullspace(rows, d)
-    for v in basis:
+    for v in linalg.nullspace(rows or [[0] * (2 * k)], d):
         out.append(from_exponents(d, v[:k], v[k:]))
     return tuple(out)
 
 
 def _pattern_span(gens, d: int, k: int) -> list[list[int]]:
-    rows = [list(g.x) + list(g.z) for g in gens if any(g.x) or any(g.z)]
-    if not rows:
-        return []
-    return linalg.rref(rows, d)[0]
+    return linalg.rref([list(g.x) + list(g.z) for g in gens], d)[0]
 
 
 def pauli_groups_equal(a, b, d: int, k: int) -> bool:

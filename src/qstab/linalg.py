@@ -1,13 +1,65 @@
-"""Linear algebra over prime fields F_p on plain integer rows.
+"""The one elimination engine: echelon forms of [gamma, x, z] rows over F_p.
 
-Matrices are lists of row lists with entries reduced mod p. Sizes here are
-desk-scale (rows and columns bounded by a few dozen), so clarity beats
-vectorization and the exact path stays free of floating point.
+A row [gamma, x_1 .. x_n, z_1 .. z_n] is a Pauli product as pauli.to_row
+gives it. `echelon` eliminates rows under a caller-given column order, and
+each row operation is one exact Pauli product row * head^f, so phases ride
+along. Pivots are chosen mod a prime p while the arithmetic stays exact mod
+D; for squarefree D callers run it per prime factor. Plain F_p matrices use
+the same engine through `rref`: a vector v goes in as the row [0, *v]
+(padded to odd length), and its meaningless phase slot is ignored.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .modring import inv_mod
+
+
+def _times_power(row: list[int], head: list[int], f: int, d: int) -> list[int]:
+    """row * head^f in one pass; equals row_multiply(row, row_power(head, f))."""
+    n = len(row) // 2
+    hx = head[1:n + 1]
+    gamma = (row[0] + f * head[0]
+             - f * (f - 1) * sum(map(operator.mul, hx, head[n + 1:]))
+             - 2 * f * sum(map(operator.mul, row[n + 1:], hx)))
+    out = [(u + f * v) % d for u, v in zip(row, head)]
+    out[0] = gamma % (2 * d)
+    return out
+
+
+def echelon(rows: list[list[int]], columns, p: int,
+            d: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Reduced echelon form of `rows` mod p on `columns`, in that order.
+
+    Rows come reduced (gamma mod 2D, exponents mod D) as pauli.to_row gives
+    them, and are taken in order as an incremental basis, so the basis spans
+    the earliest rows independent mod p on `columns`. Returns (basis, pivots,
+    rest): basis rows sorted by pivot position in `columns`, each with its
+    pivot entry 1 mod p and every other pivot entry 0 mod p; `rest` holds the
+    other rows, reduced to 0 mod p on `columns`.
+    """
+    position = {c: i for i, c in enumerate(columns)}
+    basis: list[tuple[int, list[int]]] = []
+    rest: list[list[int]] = []
+    for row in rows:
+        for c, head in basis:
+            f = row[c] % p
+            if f:
+                row = _times_power(row, head, -f, d)
+        c = next((c for c in columns if row[c] % p), None)
+        if c is None:
+            rest.append(row)
+            continue
+        inv = inv_mod(row[c] % p, p)
+        head = row if inv == 1 else _times_power([0] * len(row), row, inv, d)
+        for i, (ci, other) in enumerate(basis):
+            f = other[c] % p
+            if f:
+                basis[i] = (ci, _times_power(other, head, -f, d))
+        basis.append((c, head))
+    basis.sort(key=lambda entry: position[entry[0]])
+    return [row for _, row in basis], [c for c, _ in basis], rest
 
 
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -16,26 +68,11 @@ def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     Returns (rref_rows, pivot_columns); zero rows are dropped. The RREF of a
     row space is unique, which downstream code relies on for canonical forms.
     """
-    mat = [[v % p for v in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = inv_mod(mat[r][c], p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    width = len(rows[0]) if rows else 0
+    pad = [0] * (width % 2)
+    basis, pivots, _ = echelon([[0, *(v % p for v in row), *pad] for row in rows],
+                               range(1, width + 1), p, p)
+    return [row[1:width + 1] for row in basis], [c - 1 for c in pivots]
 
 
 def rank(rows: list[list[int]], p: int) -> int:
@@ -55,36 +92,3 @@ def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
             v[c] = (-reduced[r][f]) % p
         basis.append(v)
     return basis
-
-
-def left_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {c : sum_i c_i * rows[i] = 0 mod p}."""
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))] if rows else []
-    if not rows:
-        return []
-    if not transposed:
-        # zero-width rows: every coefficient vector annihilates them
-        return [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
-    return nullspace(transposed, p)
-
-
-def solve(rows: list[list[int]], target: list[int], p: int) -> list[int] | None:
-    """One solution c of sum_i c_i * rows[i] = target mod p, or None."""
-    if not rows:
-        return [] if all(t % p == 0 for t in target) else None
-    ncols = len(rows[0])
-    aug = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
-    for j in range(ncols):
-        aug[j].append(target[j] % p)
-    reduced, pivots = rref(aug, p)
-    nvars = len(rows)
-    if nvars in pivots:
-        return None
-    c = [0] * nvars
-    for r, col in enumerate(pivots):
-        c[col] = reduced[r][nvars]
-    return c
-
-
-def in_span(rows: list[list[int]], vec: list[int], p: int) -> bool:
-    return solve(rows, vec, p) is not None

@@ -151,11 +151,6 @@ def _orbit(action: tuple[np.ndarray, np.ndarray], v: np.ndarray, d: int):
     return itertools.accumulate(range(d - 1), lambda w, _: _act(action, w), initial=v)
 
 
-def apply_pauli_vec(p: PauliProduct, v: np.ndarray) -> np.ndarray:
-    """p |v> using index arithmetic: X^x Z^z |m> = omega^{z.m} |m - x>."""
-    return _act(_pauli_action(p), v)
-
-
 def state_from_group(group: StabilizerGroup) -> np.ndarray:
     """Unit vector of the unique stabilizer state of a D^n-element group.
 

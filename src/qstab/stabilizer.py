@@ -1,11 +1,12 @@
 """Stabilizer groups, graph states, subgroups on parts, and generator algebra.
 
 Groups are lists of independent commuting Pauli products with g^order(g) = I
-exactly, over prime or squarefree D. All group-membership and independence
-questions reduce to linear algebra over F_p per prime factor, recombined
-through the CRT lift; that keeps everything exact for composite D where Z_D
-is not a field. Generator elimination runs on [gamma, x, z] integer rows
-with the closed forms of pauli.row_multiply and row_power.
+exactly, over prime or squarefree D. Every independence, membership and
+subgroup question is answered by linalg.echelon per prime factor on the
+[gamma, x, z] rows of the generators' order-p (Sylow) parts, so phases stay
+exact and composite D, where Z_D is not a field, needs no coefficient
+lifting. The subgroup on a part eliminates the off-part columns first; the
+rows left zero off the part span it.
 
 Generator lists may be longer than n for intermediate objects; sizes always
 come from the product of generator orders, never from a |gens| = n assumption.
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
+    IndexOutOfRange,
     InvalidStabilizer,
+    NonPrimeD,
     NotAState,
     NotSquarefree,
     NotSubgroup,
@@ -31,12 +34,10 @@ from .pauli import (
     from_exponents,
     from_row,
     identity,
-    is_identity_on,
     multiply,
     order,
     power,
     restrict,
-    row_multiply,
     row_power,
     tensor,
     to_row,
@@ -101,8 +102,8 @@ class StabilizerGroup:
                     f"generators {to_text(self.gens[a])} and "
                     f"{to_text(self.gens[b])} do not commute")
         for p in mod.primes:
-            rows = [_reduced_row(g, p) for g in self.gens if order(g) % p == 0]
-            if rows and linalg.rank(rows, p) != len(rows):
+            rows = [to_row(g) for g in self.gens if order(g) % p == 0]
+            if linalg.echelon(rows, range(1, 2 * self.n + 1), p, self.d)[2]:
                 raise InvalidStabilizer(f"generators dependent mod {p}")
 
     @property
@@ -116,52 +117,36 @@ class StabilizerGroup:
         return self.size == self.d ** self.n
 
 
-def _reduced_row(g: PauliProduct, p: int) -> list[int]:
-    return [v % p for v in g.x] + [v % p for v in g.z]
+def _sylow_rows(gens, p: int, d: int) -> list[list[int]]:
+    """Rows of the order-p parts of `gens` (skipping those that are I)."""
+    rows = []
+    for g in gens:
+        if order(g) % p == 0:
+            m = order(g) // p
+            rows.append(row_power(to_row(g), m * inv_mod(m % p, p), d))
+    return rows
 
 
-def sylow_component(g: PauliProduct, p: int) -> PauliProduct:
-    """The order-p part of g (identity when p does not divide order(g))."""
-    delta = order(g)
-    if delta % p != 0:
-        return identity(g.d, g.n)
-    rest = delta // p
-    return power(g, rest * inv_mod(rest % p, p))
+def qudit_columns(n: int, qudits) -> list[int]:
+    """Row columns holding the x, then the z, exponents of `qudits`."""
+    return [1 + q for q in qudits] + [1 + n + q for q in qudits]
 
 
 def reduce_generators(d: int, paulis: list[PauliProduct], n: int) -> list[PauliProduct]:
     """Canonical independent generator list for the group generated by `paulis`.
 
-    Per prime factor, the Sylow components are Gauss-eliminated with actual
-    group operations on [gamma, x, z] integer rows (so phases ride along
-    exactly); pivots are normalized to exponent 1. The per-prime reduced
-    echelon basis is unique, which makes the output a canonical form: two
-    generating sets of the same group reduce to identical lists.
+    Per prime factor, the Sylow components are brought to reduced echelon
+    form in natural column order by exact group operations (linalg.echelon).
+    The per-prime basis is unique, which makes the output a canonical form:
+    two generating sets of the same group reduce to identical lists.
     """
-    mod = factorize(d)
     out: list[PauliProduct] = []
-    for p in mod.primes:
-        rows: list[list[int]] = []
-        for g in paulis:
-            delta = order(g)
-            if delta % p == 0:     # else the Sylow component is the identity
-                rest = delta // p
-                rows.append(row_power(to_row(g), rest * inv_mod(rest % p, p), d))
-        r = 0
-        for c in range(1, 2 * n + 1):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            head = rows[r] = row_power(rows[r], inv_mod(rows[r][c] % p, p), d)
-            for i, row in enumerate(rows):
-                f = row[c] % p
-                if i != r and f:
-                    rows[i] = row_multiply(row, row_power(head, -f, d), d)
-            r += 1
-        if any(any(row) for row in rows[r:]):
+    for p in factorize(d).primes:
+        basis, _, rest = linalg.echelon(_sylow_rows(paulis, p, d),
+                                        range(1, 2 * n + 1), p, d)
+        if any(any(row) for row in rest):
             raise InvalidStabilizer("dependent generators with phase residue")
-        out.extend(from_row(d, row) for row in rows[:r])
+        out.extend(from_row(d, row) for row in basis)
     return out
 
 
@@ -186,43 +171,32 @@ def elements(group: StabilizerGroup):
         yield el
 
 
-def _crt_lift_multiplier(d: int, p: int) -> int:
-    """m with m = 1 mod p and m = 0 mod D/p."""
-    rest = d // p
-    return (rest * inv_mod(rest % p, p)) % d
+def rows_on_part(rows: list[list[int]], n: int, part, p: int,
+                 d: int) -> list[list[int]]:
+    """Canonical echelon rows of the elements of span(rows) trivial off `part`.
 
-
-def _element_from_coeffs(group: StabilizerGroup, coeffs: list[int]) -> PauliProduct:
-    row = [0] * (2 * group.n + 1)
-    for g, c in zip(group.gens, coeffs):
-        if c % order(g):
-            row = row_multiply(row, row_power(to_row(g), c, group.d), group.d)
-    return from_row(group.d, row)
+    Eliminating the off-part columns first leaves the rows that vanish off
+    the part; they span that subgroup (the part-ordered canonical form), and
+    their echelon on the part's columns in natural order is canonical.
+    """
+    part_set = set(part)
+    off = [q for q in range(n) if q not in part_set]
+    local = linalg.echelon(rows, qudit_columns(n, off), p, d)[2]
+    return linalg.echelon(local, sorted(qudit_columns(n, part_set)), p, d)[0]
 
 
 def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:
-    """Subgroup of elements acting as the identity off `part`.
-
-    Computed per prime factor as the coefficient nullspace of the off-part
-    exponent columns over F_p, lifted back to Z_D coefficients via the CRT.
-    """
+    """Subgroup of elements acting as the identity off `part`, per prime
+    factor from the Sylow rows (canonical generators)."""
     part_set = set(part)
-    off = [i for i in range(group.n) if i not in part_set]
-    if not group.gens:
-        return StabilizerGroup(group.d, group.n, ())
-    mod = factorize(group.d)
-    found: list[PauliProduct] = []
-    for p in mod.primes:
-        rows = [[g.x[i] % p for i in off] + [g.z[i] % p for i in off]
-                for g in group.gens]
-        lift = _crt_lift_multiplier(group.d, p)
-        for c in linalg.left_nullspace(rows, p):
-            el = _element_from_coeffs(group, [ci * lift for ci in c])
-            if not el.is_identity():
-                found.append(el)
-    gens = reduce_generators(group.d, found, group.n)
-    for g in gens:
-        assert is_identity_on(g, off)
+    bad = sorted(q for q in part_set if not 0 <= q < group.n)
+    if bad:
+        raise IndexOutOfRange(f"qudits {bad} outside register of size {group.n}")
+    gens = []
+    for p in factorize(group.d).primes:
+        rows = rows_on_part(_sylow_rows(group.gens, p, group.d), group.n,
+                            part_set, p, group.d)
+        gens.extend(from_row(group.d, row) for row in rows)
     return StabilizerGroup(group.d, group.n, tuple(gens))
 
 
@@ -234,54 +208,45 @@ def reduced_rank(group: StabilizerGroup, part) -> int:
     return group.d ** len(set(part)) // sub.size
 
 
-def member_coefficients(group: StabilizerGroup, p: PauliProduct) -> list[int] | None:
-    """Coefficients c with prod_i gens[i]^{c_i} = p exactly, or None."""
+def member(group: StabilizerGroup, p: PauliProduct) -> bool:
+    """p is in the group exactly, phase included: reduced against each
+    prime's basis, it leaves the identity."""
     if p.d != group.d or p.n != group.n:
         raise ShapeMismatch("element shape differs from group shape")
-    mod = factorize(group.d)
-    total = [0] * len(group.gens)
-    for pr in mod.primes:
-        rows = [_reduced_row(g, pr) for g in group.gens]
-        target = _reduced_row(sylow_component(p, pr), pr)
-        sol = linalg.solve(rows, target, pr)
-        if sol is None:
-            return None
-        lift = _crt_lift_multiplier(group.d, pr)
-        total = [(t + s * lift) % group.d for t, s in zip(total, sol)]
-    if _element_from_coeffs(group, total) != p:
-        return None
-    return total
-
-
-def member(group: StabilizerGroup, p: PauliProduct) -> bool:
-    return member_coefficients(group, p) is not None
+    row = to_row(p)
+    for pr in factorize(group.d).primes:
+        rest = linalg.echelon(_sylow_rows(group.gens, pr, group.d) + [row],
+                              range(1, 2 * group.n + 1), pr, group.d)[2]
+        if not rest:
+            return False
+        row = rest[0]
+    return not any(row)
 
 
 def extend_generators(group: StabilizerGroup,
                       partial: list[PauliProduct]) -> StabilizerGroup:
     """Full generating set beginning with `partial` (prime D).
 
-    Adjoins canonical generators of the group one at a time whenever they
-    enlarge the span, mirroring incremental generator completion.
+    Adjoins generators of the group one at a time whenever they enlarge the
+    span, mirroring incremental generator completion.
     """
-    mod = factorize(group.d)
-    if not mod.is_prime:
-        from .errors import NonPrimeD
-
+    if not factorize(group.d).is_prime:
         raise NonPrimeD("generator completion is defined for prime D")
-    p = group.d
     for t in partial:
         if not member(group, t):
             raise NotSubgroup(f"{to_text(t)} is not in the group")
-    rows = [_reduced_row(t, p) for t in partial]
-    chosen = list(partial)
-    if rows and linalg.rank(rows, p) != len(rows):
+
+    def independent(gens) -> bool:
+        rows = [to_row(g) for g in gens]
+        return not linalg.echelon(rows, range(1, 2 * group.n + 1), group.d,
+                                  group.d)[2]
+
+    if not independent(partial):
         raise InvalidStabilizer("partial generators are dependent")
+    chosen = list(partial)
     for g in group.gens:
-        row = _reduced_row(g, p)
-        if not linalg.in_span(rows, row, p):
+        if independent(chosen + [g]):
             chosen.append(g)
-            rows.append(row)
     return StabilizerGroup(group.d, group.n, tuple(chosen))
 
 

@@ -22,12 +22,16 @@ from qstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (state file, --parts value); D in {2, 3, 6}, n <= 6
+# name -> (state file, --parts value); D in {2, 3, 6, 10}, n <= 6.
+# d3_pivot and d10_pivot pin which group elements the extraction picks:
+# eliminating the same rows in another order changes their gates.
 NF_CASES = {
     "d2_tri_empty": ("d2_n5.stab", "1,3/-/2,4,5"),
     "d3_ghz": ("d3_n6.stab", "1,2/3,4/5,6"),
     "d6_tri": ("d6_n4.stab", "1/2,3/4"),
     "d2_bi": ("d2_n6.stab", "1,2,3/4,5,6"),
+    "d3_pivot": ("d3_n4.stab", "1,2/4/3"),
+    "d10_pivot": ("d10_n6.stab", "5/1,2/3,4,6"),
 }
 # name -> extra `channel` flags on the [[5, 1]]_2 pentagon code
 CHANNEL_CASES = {

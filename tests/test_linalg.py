@@ -1,0 +1,118 @@
+"""The elimination engine against an independent F_p reference.
+
+`reference_rref` is a plain column-by-column Gauss-Jordan over F_p with row
+swaps. `linalg.echelon` must agree with it on every projection mod p, under
+any column order and at every prime factor of squarefree D, and its row
+operations must be exact Pauli products, phases included.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from qstab import linalg
+from qstab.modring import factorize, inv_mod
+from qstab.pauli import (multiply, order, power, row_multiply, row_power,
+                         to_row)
+from qstab.randgen import random_state
+from qstab.stabilizer import elements
+
+D_SET = [2, 3, 5, 7, 6, 10, 15, 30]
+
+
+def reference_rref(rows, p):
+    """Reduced row echelon form over F_p: (rows, pivot columns), zero rows dropped."""
+    mat = [[v % p for v in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = inv_mod(mat[r][c], p)
+        mat[r] = [(v * inv) % p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+@st.composite
+def pauli_rows(draw):
+    d = draw(st.sampled_from(D_SET))
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 7))
+    rows = [[draw(st.integers(0, 2 * d - 1))]
+            + draw(st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n))
+            for _ in range(k)]
+    columns = draw(st.permutations(range(1, 2 * n + 1)))
+    columns = columns[:draw(st.integers(0, 2 * n))]
+    return d, n, rows, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_rows())
+def test_echelon_matches_reference_per_prime(case):
+    d, n, rows, columns = case
+    for p in factorize(d).primes:
+        basis, pivots, rest = linalg.echelon(rows, columns, p, d)
+        want, want_pivots = reference_rref(
+            [[row[c] for c in columns] for row in rows], p)
+        assert [[row[c] % p for c in columns] for row in basis] == want
+        assert [columns.index(c) for c in pivots] == want_pivots
+        assert len(basis) + len(rest) == len(rows)
+        assert all(row[c] % p == 0 for row in rest for c in columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_rows(), st.integers(-40, 40))
+def test_row_operation_is_one_pauli_product(case, f):
+    d, n, rows, _ = case
+    for a in rows:
+        for b in rows:
+            assert linalg._times_power(a, b, f, d) == row_multiply(
+                a, row_power(b, f, d), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(D_SET), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.randoms(use_true_random=False))
+def test_echelon_rows_are_exact_group_elements(d, n, seed, rng):
+    """Basis rows are group elements and dependent rows leave the exact
+    identity, phase included, under any column order."""
+    n = min(n, int(math.log(400, d)))
+    group = random_state(d, n, seed)
+    members = {tuple(to_row(el)) for el in elements(group)}
+    extra = []
+    for _ in range(3):
+        el = group.gens[0]
+        for g in group.gens[1:]:
+            el = multiply(el, power(g, rng.randrange(d)))
+        extra.append(el)
+    columns = list(range(1, 2 * n + 1))
+    rng.shuffle(columns)
+    for p in factorize(d).primes:
+        sylow = []
+        for g in list(group.gens) + extra:
+            if order(g) % p == 0:
+                m = order(g) // p
+                sylow.append(to_row(power(g, m * inv_mod(m % p, p))))
+        basis, _, rest = linalg.echelon(sylow, columns, p, d)
+        assert all(tuple(row) in members for row in basis)
+        assert all(not any(row) for row in rest)
+
+
+def test_rref_wrapper_plain_vectors():
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert linalg.rref(rows, 5) == reference_rref(rows, 5)
+    assert linalg.rref([[0, 0], [3, 6]], 3) == ([], [])
+    assert linalg.rref([], 7) == ([], [])
+    assert linalg.rank([[1, 1, 0, 1]], 2) == 1
+    assert linalg.nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

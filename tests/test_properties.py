@@ -1,6 +1,7 @@
-"""Hypothesis properties of tripartition normal forms over the whole D set.
+"""Hypothesis properties of bi- and tripartition normal forms over the whole
+D set.
 
-D runs over primes and squarefree composites, n from 0 to 10, and every
+D runs over primes and squarefree composites, n from 0 to 16, and every
 qudit lands in a random part, so parts may be empty. Each drawn instance
 must conserve qudits, match the algebraic cut ranks, come out the same
 twice, keep its counts under local Cliffords, and, at composite D, carry
@@ -12,7 +13,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from qstab.canonicalize import is_exact, tripartition_normal_form
+from qstab.canonicalize import (
+    bipartition_normal_form,
+    is_exact,
+    tripartition_normal_form,
+)
 from qstab.crt import decompose_state
 from qstab.formats import render_normal_form
 from qstab.modring import factorize
@@ -21,11 +26,11 @@ from qstab.stabilizer import reduced_rank
 
 
 @st.composite
-def tripartitioned_states(draw):
+def partitioned_states(draw, nparts):
     d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
-    n = draw(st.integers(0, 10))
-    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    parts = [[q for q in range(n) if labels[q] == i] for i in range(3)]
+    n = draw(st.integers(0, 16))
+    labels = draw(st.lists(st.integers(0, nparts - 1), min_size=n, max_size=n))
+    parts = [[q for q in range(n) if labels[q] == i] for i in range(nparts)]
     return random_state(d, n, draw(st.integers(0, 2**32 - 1))), parts
 
 
@@ -37,11 +42,8 @@ def _factor_counts(nf):
     return [sub.counts for sub in _prime_forms(nf)]
 
 
-@settings(max_examples=50, deadline=None)
-@given(tripartitioned_states(), st.randoms(use_true_random=False))
-def test_tripartition_properties(case, rng: random.Random):
-    group, parts = case
-    nf = tripartition_normal_form(group, *parts)
+def _check_properties(normal_form, group, parts, rng: random.Random):
+    nf = normal_form(group, *parts)
     primes = factorize(group.d).primes
 
     # qudit conservation, per prime factor
@@ -60,13 +62,13 @@ def test_tripartition_properties(case, rng: random.Random):
         assert reduced_rank(group, part) == rank
 
     # determinism
-    again = tripartition_normal_form(group, *parts)
+    again = normal_form(group, *parts)
     assert render_normal_form(again) == render_normal_form(nf)
 
     # local Cliffords on each part change no count
     local = [g for part in parts if part
              for g in random_part_gates(group.d, part, rng, 6)]
-    moved = tripartition_normal_form(scramble_group(group, local), *parts)
+    moved = normal_form(scramble_group(group, local), *parts)
     assert _factor_counts(moved) == _factor_counts(nf)
 
     # per-factor forms re-verify against the CRT factors, replayed in full
@@ -74,3 +76,15 @@ def test_tripartition_properties(case, rng: random.Random):
         for (p, sub), (p2, factor) in zip(nf.factors, decompose_state(group)):
             assert p == p2
             assert is_exact(factor, dataclasses.replace(sub))
+
+
+@settings(max_examples=50, deadline=None)
+@given(partitioned_states(3), st.randoms(use_true_random=False))
+def test_tripartition_properties(case, rng: random.Random):
+    _check_properties(tripartition_normal_form, *case, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(partitioned_states(2), st.randoms(use_true_random=False))
+def test_bipartition_properties(case, rng: random.Random):
+    _check_properties(bipartition_normal_form, *case, rng)

@@ -1,15 +1,25 @@
 """Stabilizer groups: construction, subgroups, ranks, factorization."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstab import oracle
-from qstab.errors import InvalidStabilizer, NotAState, NotSquarefree, NotSubgroup
+from qstab.errors import (
+    IndexOutOfRange,
+    InvalidStabilizer,
+    NotAState,
+    NotSquarefree,
+    NotSubgroup,
+)
 from qstab.pauli import (
+    PauliProduct,
     from_exponents,
     is_identity_on,
     multiply,
+    power,
     x_op,
     z_op,
 )
@@ -206,6 +216,42 @@ def test_extend_generators_empty():
 def test_extend_generators_rejects_outsiders():
     with pytest.raises(NotSubgroup):
         extend_generators(ghz_group(3), [x_op(3, 3, 0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_subgroup_on_part_vs_brute_force(d, n, seed, rng):
+    # every element of the group, filtered by support, over the whole D set
+    n = min(n, int(math.log(1000, d)))
+    s = random_state(d, n, seed)
+    part = [q for q in range(n) if rng.random() < 0.5]
+    off = [q for q in range(n) if q not in part]
+    brute = {str(el) for el in elements(s) if is_identity_on(el, off)}
+    sub = subgroup_on_part(s, part)
+    assert {str(el) for el in elements(sub)} == brute
+    assert len(brute) == sub.size
+
+
+def test_out_of_range_qudits_raise():
+    with pytest.raises(IndexOutOfRange):
+        reduced_rank(ghz_group(3), [0, 7])
+    with pytest.raises(IndexOutOfRange):
+        subgroup_on_part(ghz_group(3), [-1])
+    with pytest.raises(IndexOutOfRange):
+        subgroup_on_part(epr_group(6), [2])
+
+
+def test_member_rejects_phase_mismatch_composite():
+    rng = random.Random(7)
+    for d in (6, 10, 15, 30):
+        s = random_state(d, 3, d)
+        el = s.gens[0]
+        for g in s.gens[1:]:
+            el = multiply(el, power(g, rng.randrange(d)))
+        assert member(s, el)
+        for shift in (1, 2, d):
+            assert not member(s, PauliProduct(d, el.gamma + shift, el.x, el.z))
 
 
 def test_member_detects_phase_mismatch():
