@@ -14,9 +14,11 @@ The constructive pipeline, for prime D:
      Z_a^{-1} Z_b; locate the element whose C-pattern is a bare X_c and shape
      it to X_a X_b X_c; retire the triple.
 
-Retiring qudits keeps, as the active generators, the subgroup acting
-trivially on them, by eliminating their columns first
-(stabilizer.rows_on_part).
+The input is validated once, when it is built. From there the active
+generators are canonical [gamma, x, z] echelon rows: each step takes its part
+subgroup with stabilizer.rows_on_part, writes pivot words in closed form from
+the exponents (clifford.pivot_part_gates), conjugates the rows through them
+(clifford.conjugate_rows), and retires qudits by eliminating their columns.
 
 Squarefree composite D runs per prime factor after CRT decomposition; the
 composite counts are reported as the componentwise minimum across factors
@@ -31,12 +33,14 @@ must equal the normal-form group bit-exactly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
 from .clifford import (
     Gate,
     conjugate_all,
+    conjugate_rows,
     pauli_x,
     pauli_z,
     pivot_part_gates,
@@ -51,8 +55,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
-from .pauli import (PauliProduct, from_row, power, row_multiply, row_power,
-                    to_row, x_op)
+from .pauli import (PauliProduct, from_row, row_multiply, row_power, to_row,
+                    x_op)
 from .stabilizer import (
     StabilizerGroup,
     canonical_form,
@@ -61,7 +65,6 @@ from .stabilizer import (
     qudit_columns,
     reduce_generators,
     rows_on_part,
-    subgroup_on_part,
 )
 
 
@@ -176,15 +179,19 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
 
 
 class _Extraction:
-    """Mutable working state shared by the extraction steps (prime D)."""
+    """Mutable working state shared by the extraction steps (prime D).
+
+    The active group is held as canonical [gamma, x, z] echelon rows from
+    entry to end: the input was validated when built, and is_exact guards.
+    """
 
     def __init__(self, group: StabilizerGroup, partition: Partition):
         self.d = group.d
         self.n = group.n
         self.parts = [list(p) for p in partition.parts]
-        self.active: list[PauliProduct] = list(
-            reduce_generators(group.d, list(group.gens), group.n))
-        self._group: StabilizerGroup | None = None
+        self.rows: list[list[int]] = [
+            to_row(g) for g in reduce_generators(group.d, list(group.gens),
+                                                 group.n)]
         self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
         self.singles: list[tuple[int, int]] = []
@@ -194,40 +201,48 @@ class _Extraction:
     def active_qudits(self, part_idx: int) -> list[int]:
         return [q for q in self.parts[part_idx] if q not in self.retired]
 
-    def active_group(self) -> StabilizerGroup:
-        """The validated active group, built once per change of `active`."""
-        if self._group is None:
-            self._group = StabilizerGroup(self.d, self.n, tuple(self.active))
-        return self._group
+    def on_part(self, qudits) -> list[list[int]]:
+        """Canonical rows of the active elements trivial off `qudits`."""
+        return rows_on_part(self.rows, self.n, qudits, self.d, self.d)
+
+    def lowest(self, row: list[int], qudits) -> int:
+        """Lowest qudit of `qudits` where `row` acts nontrivially."""
+        return min(q for q in qudits if row[1 + q] or row[1 + self.n + q])
+
+    def row(self, x: dict[int, int], z: dict[int, int]) -> list[int]:
+        """Phase-free row with the given {qudit: exponent} X and Z entries."""
+        row = [0] * (2 * self.n + 1)
+        for q, e in x.items():
+            row[1 + q] = e % self.d
+        for q, e in z.items():
+            row[1 + self.n + q] = e % self.d
+        return row
 
     def apply(self, part_idx: int, gates: list[Gate],
-              tracked: list[PauliProduct]) -> list[PauliProduct]:
+              tracked: list[list[int]]) -> list[list[int]]:
         allowed = set(self.active_qudits(part_idx))
         for g in gates:
             if not set(g.qudits) <= allowed:
                 raise InternalInvariant("gate escapes its part's active qudits")
         self.circuits[part_idx].extend(gates)
-        k = len(self.active)
-        rows = conjugate_all(gates, self.active + tracked)
-        self.active = list(rows[:k])
-        self._group = None
-        return list(rows[k:])
+        k = len(self.rows)
+        rows = conjugate_rows(gates, self.rows + tracked, self.d)
+        self.rows = rows[:k]
+        return rows[k:]
 
     def retire(self, qudits) -> None:
-        """Retire `qudits`: the active list becomes the canonical generators,
-        on the remaining qudits, of the subgroup acting trivially on them."""
+        """Retire `qudits`: the active rows become the canonical generators,
+        on the remaining qudits, of the subgroup acting trivially on them.
+        Echelon rows are independent and of order p, so counting them checks
+        the group's size."""
         self.retired.update(qudits)
-        keep = [q for q in range(self.n) if q not in self.retired]
-        rows = rows_on_part([to_row(g) for g in self.active], self.n, keep,
-                            self.d, self.d)
-        self.active = [from_row(self.d, row) for row in rows]
-        self._group = None
-        expected = self.d ** (self.n - len(self.retired))
-        if self.active_group().size != expected:
+        self.rows = self.on_part(
+            [q for q in range(self.n) if q not in self.retired])
+        if len(self.rows) != self.n - len(self.retired):
             raise InternalInvariant("active group lost or gained elements")
 
-    def strip_phase(self, part_idx: int, tracked: list[PauliProduct],
-                    which: int, qudit: int, use_x: bool) -> list[PauliProduct]:
+    def strip_phase(self, part_idx: int, tracked: list[list[int]],
+                    which: int, qudit: int, use_x: bool) -> list[list[int]]:
         """Remove the residual omega power of tracked[which] via a Pauli
         conjugation at `qudit` (conj by X^a adds 2 a z to gamma; Z^b, -2 b x).
 
@@ -235,37 +250,39 @@ class _Extraction:
         can rephase any element with support at `qudit`.
         """
         element = tracked[which]
-        if element.gamma % 2 != 0:
+        if element[0] % 2 != 0:
             raise InternalInvariant("element has odd phase; p^D != I")
-        c = element.gamma // 2
+        c = element[0] // 2
         if c == 0:
             return tracked
         if use_x:
-            a = (-c * inv_mod(element.z[qudit], self.d)) % self.d
+            a = (-c * inv_mod(element[1 + self.n + qudit], self.d)) % self.d
             gate = pauli_x(qudit, a)
         else:
-            b = (c * inv_mod(element.x[qudit], self.d)) % self.d
+            b = (c * inv_mod(element[1 + qudit], self.d)) % self.d
             gate = pauli_z(qudit, b)
         return self.apply(part_idx, [gate], tracked)
 
 
-def _comm_on(p: PauliProduct, q: PauliProduct, qudits, d: int) -> int:
-    """Commutation phase of the components restricted to `qudits`."""
-    return sum(p.x[i] * q.z[i] - p.z[i] * q.x[i] for i in qudits) % d
+def _comm_on(p: list[int], q: list[int], qudits, n: int, d: int) -> int:
+    """Commutation phase of the rows' components restricted to `qudits`."""
+    return sum(p[1 + i] * q[1 + n + i] - p[1 + n + i] * q[1 + i]
+               for i in qudits) % d
 
 
-def _solve_for_pattern(gens: list[PauliProduct], qudits, target: list[int],
-                       d: int, n: int) -> PauliProduct | None:
-    """Group element whose exponents on `qudits` equal `target` (prime D),
-    in the span of the earliest generators independent on `qudits`."""
+def _solve_for_pattern(rows: list[list[int]], qudits, want: list[int],
+                       d: int, n: int) -> list[int] | None:
+    """Row of the group element whose exponents on `qudits` equal those of
+    the row `want` (prime D), in the span of the earliest rows independent
+    on `qudits`."""
     columns = qudit_columns(n, qudits)
-    basis, pivots, _ = linalg.echelon([to_row(g) for g in gens], columns, d, d)
+    basis, pivots, _ = linalg.echelon(rows, columns, d, d)
     row = [0] * (2 * n + 1)
     for head, c in zip(basis, pivots):
-        row = row_multiply(row, row_power(head, target[columns.index(c)], d), d)
-    if [row[c] for c in columns] != target:
+        row = row_multiply(row, row_power(head, want[c], d), d)
+    if any(row[c] != want[c] for c in columns):
         return None
-    return from_row(d, row)
+    return row
 
 
 def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
@@ -273,15 +290,15 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     part_active = ctx.active_qudits(part_idx)
     if not part_active:
         return False
-    sub = subgroup_on_part(ctx.active_group(), part_active)
-    if not sub.gens:
+    sub = ctx.on_part(part_active)
+    if not sub:
         return False
-    s = sub.gens[0]
-    target = min(s.support())
-    gates, _ = pivot_part_gates(s, part_active, target, "X")
+    s = sub[0]
+    target = ctx.lowest(s, part_active)
+    gates = pivot_part_gates(s, part_active, target, "X", ctx.d)
     (s,) = ctx.apply(part_idx, gates, [s])
     (s,) = ctx.strip_phase(part_idx, [s], 0, target, use_x=False)
-    if s != x_op(ctx.d, ctx.n, target):
+    if s != ctx.row({target: 1}, {}):
         raise InternalInvariant("single-qudit pivot failed")
     ctx.singles.append((target, part_idx))
     ctx.retire([target])
@@ -294,38 +311,34 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     ay = ctx.active_qudits(pj)
     if not ax or not ay:
         return False
-    sub = subgroup_on_part(ctx.active_group(), ax + ay)
-    pair = None
-    for a, b in itertools.combinations(range(len(sub.gens)), 2):
-        alpha = _comm_on(sub.gens[b], sub.gens[a], ax, ctx.d)
+    sub = ctx.on_part(ax + ay)
+    for a, b in itertools.combinations(range(len(sub)), 2):
+        alpha = _comm_on(sub[b], sub[a], ax, ctx.n, ctx.d)
         if alpha:
-            pair = (a, b, alpha)
             break
-    if pair is None:
+    else:
         return False
-    a, b, alpha = pair
-    s_j = sub.gens[a]
-    s_k = power(sub.gens[b], inv_mod(alpha, ctx.d))
+    s_j = sub[a]
+    s_k = row_power(sub[b], inv_mod(alpha, ctx.d), ctx.d)
 
-    qx = min(q for q in ax if s_j.x[q] or s_j.z[q])
-    gates, _ = pivot_part_gates(s_j, ax, qx, "Z")
+    qx = ctx.lowest(s_j, ax)
+    gates = pivot_part_gates(s_j, ax, qx, "Z", ctx.d)
     s_j, s_k = ctx.apply(pi, gates, [s_j, s_k])
-    qy = min(q for q in ay if s_j.x[q] or s_j.z[q])
-    gates, _ = pivot_part_gates(s_j, ay, qy, "Z-")
+    qy = ctx.lowest(s_j, ay)
+    gates = pivot_part_gates(s_j, ay, qy, "Z-", ctx.d)
     s_j, s_k = ctx.apply(pj, gates, [s_j, s_k])
     s_j, s_k = ctx.strip_phase(pi, [s_j, s_k], 0, qx, use_x=True)
 
     # commutation with s_j pins both X exponents of s_k to one
-    if s_k.x[qx] != 1 or s_k.x[qy] != 1:
+    if s_k[1 + qx] != 1 or s_k[1 + qy] != 1:
         raise InternalInvariant("partner element lost its X components")
-    gates, _ = pivot_part_gates(s_k, ax, qx, "X")
+    gates = pivot_part_gates(s_k, ax, qx, "X", ctx.d)
     s_j, s_k = ctx.apply(pi, gates, [s_j, s_k])
-    gates, _ = pivot_part_gates(s_k, ay, qy, "X")
+    gates = pivot_part_gates(s_k, ay, qy, "X", ctx.d)
     s_j, s_k = ctx.apply(pj, gates, [s_j, s_k])
     s_j, s_k = ctx.strip_phase(pi, [s_j, s_k], 1, qx, use_x=False)
 
-    pair_gens = epr_pair_generators(ctx.d, ctx.n, qx, qy)
-    if s_k != pair_gens[0] or s_j != pair_gens[1]:
+    if s_k != ctx.row({qx: 1, qy: 1}, {}) or s_j != ctx.row({}, {qx: 1, qy: -1}):
         raise InternalInvariant("EPR shaping failed")
     ctx.pairs.append((pi, pj, qx, qy))
     ctx.retire([qx, qy])
@@ -334,51 +347,46 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
 
 def _extract_ghz_once(ctx: _Extraction) -> bool:
     """One GHZ extraction; False when the active group is exhausted."""
-    if not ctx.active:
+    if not ctx.rows:
         return False
     aq = [ctx.active_qudits(i) for i in range(3)]
-    sub_bc = subgroup_on_part(ctx.active_group(), aq[1] + aq[2])
-    if not sub_bc.gens:
+    sub_bc = ctx.on_part(aq[1] + aq[2])
+    if not sub_bc:
         raise InternalInvariant("nonempty active state with empty BC subgroup")
-    t1 = sub_bc.gens[0]
+    t1 = sub_bc[0]
 
-    qb = min(q for q in aq[1] if t1.x[q] or t1.z[q])
-    gates, _ = pivot_part_gates(t1, aq[1], qb, "Z")
+    qb = ctx.lowest(t1, aq[1])
+    gates = pivot_part_gates(t1, aq[1], qb, "Z", ctx.d)
     (t1,) = ctx.apply(1, gates, [t1])
-    qc = min(q for q in aq[2] if t1.x[q] or t1.z[q])
-    gates, _ = pivot_part_gates(t1, aq[2], qc, "Z-")
+    qc = ctx.lowest(t1, aq[2])
+    gates = pivot_part_gates(t1, aq[2], qc, "Z-", ctx.d)
     (t1,) = ctx.apply(2, gates, [t1])
     (t1,) = ctx.strip_phase(1, [t1], 0, qb, use_x=True)
 
-    sub_ab = subgroup_on_part(ctx.active_group(), aq[0] + aq[1])
-    target = [0] * (2 * len(aq[1]))
-    target[len(aq[1]) + aq[1].index(qb)] = 1
-    t2 = _solve_for_pattern(list(sub_ab.gens), aq[1], target, ctx.d, ctx.n)
+    t2 = _solve_for_pattern(ctx.on_part(aq[0] + aq[1]), aq[1],
+                            ctx.row({}, {qb: 1}), ctx.d, ctx.n)
     if t2 is None:
         raise InternalInvariant("no AB element matching Z on the pivot qudit")
-    qa = min(q for q in aq[0] if t2.x[q] or t2.z[q])
-    gates, _ = pivot_part_gates(t2, aq[0], qa, "Z-")
+    qa = ctx.lowest(t2, aq[0])
+    gates = pivot_part_gates(t2, aq[0], qa, "Z-", ctx.d)
     t1, t2 = ctx.apply(0, gates, [t1, t2])
     t1, t2 = ctx.strip_phase(0, [t1, t2], 1, qa, use_x=True)
 
-    target = [0] * (2 * len(aq[2]))
-    target[aq[2].index(qc)] = 1
-    t3 = _solve_for_pattern(ctx.active, aq[2], target, ctx.d, ctx.n)
+    t3 = _solve_for_pattern(ctx.rows, aq[2], ctx.row({qc: 1}, {}), ctx.d,
+                            ctx.n)
     if t3 is None:
         raise InternalInvariant("no element with bare X on the C pivot qudit")
     # commutation with t1 and t2 pins both X exponents of t3 to one
-    if t3.x[qa] != 1 or t3.x[qb] != 1:
+    if t3[1 + qa] != 1 or t3[1 + qb] != 1:
         raise InternalInvariant("GHZ candidate lost its X components")
-    gates, _ = pivot_part_gates(t3, aq[0], qa, "X")
+    gates = pivot_part_gates(t3, aq[0], qa, "X", ctx.d)
     t1, t2, t3 = ctx.apply(0, gates, [t1, t2, t3])
-    gates, _ = pivot_part_gates(t3, aq[1], qb, "X")
+    gates = pivot_part_gates(t3, aq[1], qb, "X", ctx.d)
     t1, t2, t3 = ctx.apply(1, gates, [t1, t2, t3])
     t1, t2, t3 = ctx.strip_phase(2, [t1, t2, t3], 2, qc, use_x=False)
 
-    xxx = ghz_generators(ctx.d, ctx.n, qa, qb, qc)[0]
-    zb_zc = epr_pair_generators(ctx.d, ctx.n, qb, qc)[1]
-    za_zb = power(epr_pair_generators(ctx.d, ctx.n, qa, qb)[1], -1)
-    if t1 != zb_zc or t2 != za_zb or t3 != xxx:
+    if (t1 != ctx.row({}, {qb: 1, qc: -1}) or t2 != ctx.row({}, {qa: -1, qb: 1})
+            or t3 != ctx.row({qa: 1, qb: 1, qc: 1}, {})):
         raise InternalInvariant("GHZ shaping failed")
 
     ctx.triples.append((qa, qb, qc))
@@ -402,15 +410,11 @@ def _prime_normal_form(group: StabilizerGroup,
     if nparts == 3:
         while _extract_ghz_once(ctx):
             pass
-    if ctx.active:
+    if ctx.rows:
         raise InternalInvariant("extraction finished with residual generators")
 
-    part_singles = [0, 0, 0]
-    for _, pi in ctx.singles:
-        part_singles[pi] += 1
-    pair_counts = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-    for pi, pj, _, _ in ctx.pairs:
-        pair_counts[(pi, pj)] += 1
+    part_singles = Counter(pi for _, pi in ctx.singles)
+    pair_counts = Counter((pi, pj) for pi, pj, _, _ in ctx.pairs)
     nf = NormalForm(
         d=group.d, n=group.n, parts=partition.parts,
         m_a=part_singles[0], m_b=part_singles[1], m_c=part_singles[2],
@@ -495,8 +499,8 @@ def extract_unentangled(group: StabilizerGroup,
     count = 0
     while _extract_single_once(ctx, 0):
         count += 1
-    gens = tuple(ctx.active) + tuple(x_op(group.d, group.n, q)
-                                     for q, _ in ctx.singles)
+    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
+        x_op(group.d, group.n, q) for q, _ in ctx.singles)
     return StabilizerGroup(group.d, group.n, gens), tuple(ctx.circuits[0]), count
 
 
@@ -514,7 +518,7 @@ def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     if not _extract_epr_once(ctx, 0, 1):
         return None
     _, _, qx, qy = ctx.pairs[0]
-    gens = tuple(ctx.active) + tuple(
+    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
         epr_pair_generators(group.d, group.n, qx, qy))
     return (StabilizerGroup(group.d, group.n, gens),
             (tuple(ctx.circuits[0]), tuple(ctx.circuits[1])), (qx, qy))
@@ -532,22 +536,20 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
                                     tuple(part_c)))
     ctx = _Extraction(group, partition)
     for pi in range(3):
-        sub = subgroup_on_part(ctx.active_group(), ctx.active_qudits(pi))
-        if sub.gens:
+        if ctx.on_part(ctx.active_qudits(pi)):
             raise PreconditionViolated(
                 f"part {pi} still carries an unentangled subsystem")
     for pi, pj in itertools.combinations(range(3), 2):
         ax = ctx.active_qudits(pi)
-        sub = subgroup_on_part(ctx.active_group(),
-                               ax + ctx.active_qudits(pj))
-        for a, b in itertools.combinations(sub.gens, 2):
-            if _comm_on(a, b, ax, ctx.d) != 0:
+        sub = ctx.on_part(ax + ctx.active_qudits(pj))
+        for a, b in itertools.combinations(sub, 2):
+            if _comm_on(a, b, ax, ctx.n, ctx.d) != 0:
                 raise PreconditionViolated(
                     f"pairwise EPR extraction incomplete between parts {pi} and {pj}")
     if not _extract_ghz_once(ctx):
         return None
     qa, qb, qc = ctx.triples[0]
-    gens = tuple(ctx.active) + tuple(
+    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
         ghz_generators(group.d, group.n, qa, qb, qc))
     return (StabilizerGroup(group.d, group.n, gens),
             tuple(tuple(c) for c in ctx.circuits),

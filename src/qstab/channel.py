@@ -39,6 +39,7 @@ from .pauli import (
     multiply,
     phase_op,
     x_op,
+    z_op,
 )
 from .stabilizer import (
     GraphAdjacency,
@@ -225,18 +226,10 @@ def _info_groups(d: int, k: int,
     ghz = sorted(qa for qa, _, _ in nf.triples)
     info_b: list[PauliProduct] = [phase_op(d, k, 1)]
     info_c: list[PauliProduct] = [phase_op(d, k, 1)]
-    for q in epr_b:
-        info_b.append(x_op(d, k, q))
-        info_b.append(from_exponents(d, [0] * k, [1 if i == q else 0
-                                                  for i in range(k)]))
-    for q in epr_c:
-        info_c.append(x_op(d, k, q))
-        info_c.append(from_exponents(d, [0] * k, [1 if i == q else 0
-                                                  for i in range(k)]))
-    for q in ghz:
-        zq = from_exponents(d, [0] * k, [1 if i == q else 0 for i in range(k)])
-        info_b.append(zq)
-        info_c.append(zq)
+    info_b += [op(d, k, q) for q in epr_b for op in (x_op, z_op)]
+    info_c += [op(d, k, q) for q in epr_c for op in (x_op, z_op)]
+    info_b += [z_op(d, k, q) for q in ghz]
+    info_c += [z_op(d, k, q) for q in ghz]
     return tuple(info_b), tuple(info_c)
 
 

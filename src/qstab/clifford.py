@@ -1,10 +1,12 @@
 """Clifford unitaries as gate lists: the alphabet, conjugation, inversion, pivoting.
 
 A Clifford is the ordered list of elementary gates that applies it, so every
-canonicalization result is a human-auditable circuit. conjugate_all replays
-the list once over a batch of Pauli products held as exponent columns and a
-phase list: each gate rewrites only its one or two columns in every row, as
-in CHP tableaux, and products are built once at the end. The gate alphabet:
+canonicalization result is a human-auditable circuit. conjugate_rows replays
+the list once over a batch of [gamma, x, z] rows: each gate rewrites only its
+one or two columns (and the phases) in every row, as in CHP tableaux;
+conjugate_all wraps it for Pauli products. pivot_part_gates writes the word
+that pivots a row onto one qudit in closed form, from the row's exponents on
+the part. The gate alphabet:
 
     F q        Fourier gate:        Z -> X,  X -> Z^{-1}
     S q a      multiplicative gate: Z -> Z^a, X -> X^{a^{-1}}   (a invertible)
@@ -39,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import inv_mod, is_prime, sqrt_mod
-from .pauli import PauliProduct, x_op, z_op
+from .pauli import PauliProduct, from_row, to_row, x_op, z_op
 
 GATE_NAMES = ("F", "S", "W", "X", "Z", "CP", "CNOT")
 
@@ -81,23 +83,21 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 
 
-def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
-    """U p U^dag for every p in `paulis` (one shape), where the circuit U
-    applies `gates` in list order; exact in gamma.
+def conjugate_rows(gates, rows, d: int) -> list[list[int]]:
+    """U p U^dag for every reduced [gamma, x, z] row p (one width), where the
+    circuit U applies `gates` in list order; exact in gamma.
 
-    The rows are copied once into column lists, xs[q][i] and zs[q][i] being
-    row i's exponents on qudit q, so each gate rewrites only its one or two
-    columns (and the phases) in every row; products are built at the end.
+    Only the columns the gates touch are copied out, xs[q][i] and zs[q][i]
+    being row i's exponents on qudit q, so each gate rewrites its one or two
+    columns (and the phases) in every row; the rest of each row is copied.
     """
-    paulis = tuple(paulis)
-    if not paulis:
-        return ()
-    d, n = paulis[0].d, paulis[0].n
-    if any(p.d != d or p.n != n for p in paulis):
-        raise ShapeMismatch("conjugated Pauli products differ in shape")
-    xs = [list(col) for col in zip(*(p.x for p in paulis))]
-    zs = [list(col) for col in zip(*(p.z for p in paulis))]
-    gam = [p.gamma for p in paulis]
+    out = [list(row) for row in rows]
+    if not out:
+        return out
+    n = len(out[0]) // 2
+    if any(len(row) != 2 * n + 1 for row in out):
+        raise ShapeMismatch("conjugated rows differ in width")
+    gates = list(gates)
     for gate in gates:
         if gate.name not in GATE_NAMES:
             raise ShapeMismatch(f"unknown gate {gate.name!r}")
@@ -106,6 +106,11 @@ def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
                 raise IndexOutOfRange(f"qudit {q} outside register of size {n}")
         if len(set(gate.qudits)) != len(gate.qudits):
             raise IndexOutOfRange(f"{gate.name} needs distinct qudits")
+    touched = {q for gate in gates for q in gate.qudits}
+    xs = {q: [row[1 + q] for row in out] for q in touched}
+    zs = {q: [row[1 + n + q] for row in out] for q in touched}
+    gam = [row[0] for row in out]
+    for gate in gates:
         q, r = gate.qudits[0], gate.qudits[-1]
         if gate.name == "F":
             # Z^{-x} X^z reorders with omega^{x z}
@@ -133,10 +138,26 @@ def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
         else:  # CNOT
             zs[q] = [(b + c) % d for b, c in zip(zs[q], zs[r])]
             xs[r] = [(c - a) % d for c, a in zip(xs[r], xs[q])]
-    if not n:
-        return paulis
-    return tuple(PauliProduct(d, g, x, z)
-                 for g, x, z in zip(gam, zip(*xs), zip(*zs)))
+    for q in touched:
+        for row, a, b in zip(out, xs[q], zs[q]):
+            row[1 + q] = a
+            row[1 + n + q] = b
+    for row, g in zip(out, gam):
+        row[0] = g % (2 * d)
+    return out
+
+
+def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
+    """U p U^dag for every p in `paulis` (one shape), where the circuit U
+    applies `gates` in list order; exact in gamma (see conjugate_rows)."""
+    paulis = tuple(paulis)
+    if not paulis:
+        return ()
+    d, n = paulis[0].d, paulis[0].n
+    if any(p.d != d or p.n != n for p in paulis):
+        raise ShapeMismatch("conjugated Pauli products differ in shape")
+    return tuple(from_row(d, row)
+                 for row in conjugate_rows(gates, map(to_row, paulis), d))
 
 
 def gate_conjugate(gate: Gate, p: PauliProduct) -> PauliProduct:
@@ -212,77 +233,66 @@ def inverse_gates(gates, d: int) -> tuple[Gate, ...]:
     return tuple(inv for g in reversed(gates) for inv in _inverse_gate(g, d))
 
 
-def _pivot_gates_step(p: PauliProduct, q: int) -> tuple[list[Gate], PauliProduct]:
-    """Gates (on qudit q alone) turning p's q-component into exactly X_q.
-
-    Requires prime D and a nontrivial component at q.
-    """
-    d = p.d
-    gates: list[Gate] = []
-
-    def shoot(gate: Gate) -> None:
-        nonlocal p
-        gates.append(gate)
-        p = gate_conjugate(gate, p)
-
-    if p.x[q] == 0:
-        shoot(fourier(q))
-    for gate in shear_word(q, -p.z[q] * inv_mod(p.x[q], d), d):
-        shoot(gate)
-    if p.x[q] != 1:
-        shoot(smult(q, p.x[q]))
-    return gates, p
+def _checked_part(part, n: int) -> list[int]:
+    """`part` sorted without repeats; IndexOutOfRange outside [0, n)."""
+    part = sorted(set(part))
+    bad = [q for q in part if not 0 <= q < n]
+    if bad:
+        raise IndexOutOfRange(f"qudits {bad} outside register of size {n}")
+    return part
 
 
-def pivot_part_gates(p: PauliProduct, part, target: int,
-                     form: str = "X") -> tuple[list[Gate], PauliProduct]:
-    """Gates on `part` making p's part-components a single operator at target.
+def _step_gates(x: int, z: int, q: int, d: int) -> list[Gate]:
+    """Gates on qudit q taking its nontrivial component (x, z) to (1, 0):
+    F maps (0, z) to (z, 0), a shear clears z, S scales x to 1."""
+    gates = []
+    if x == 0:
+        gates.append(fourier(q))
+        x, z = z, 0
+    gates += shear_word(q, -z * inv_mod(x, d), d)
+    if x != 1:
+        gates.append(smult(q, x))
+    return gates
+
+
+def pivot_part_gates(row: list[int], part, target: int, form: str,
+                     d: int) -> list[Gate]:
+    """Gates on `part` making the part-components of the Pauli product with
+    [gamma, x, z] row `row` a single operator at target.
 
     form "X" yields X_target (exponent 1), "Z" yields Z_target, "Z-" yields
-    Z_target^{-1}; components of p outside `part` and the overall phase are
-    left as they land. Requires prime D.
+    Z_target^{-1}; components outside `part` and the overall phase are left
+    as they land. The word is read off the exponents on the part: every step
+    leaves its qudit at (1, 0), and CNOT(target, u) then clears u. Requires
+    prime D.
     """
-    d = p.d
     if not is_prime(d):
         raise NonPrimeD(f"pivoting needs prime D, got {d}")
-    part = sorted(part)
+    n = len(row) // 2
+    part = _checked_part(part, n)
     if target not in part:
         raise IndexOutOfRange(f"target {target} not in part {part}")
-    if all(p.x[i] == 0 and p.z[i] == 0 for i in part):
+    comp = {q: (row[1 + q] % d, row[1 + n + q] % d) for q in part}
+    nontrivial = [q for q in part if any(comp[q])]
+    if not nontrivial:
         raise IdentityOnPart("operator is trivial on the given part")
-
-    gates: list[Gate] = []
-
-    def run(step_gates: list[Gate], new_p: PauliProduct) -> None:
-        nonlocal p
-        gates.extend(step_gates)
-        p = new_p
-
-    if p.x[target] or p.z[target]:
-        run(*_pivot_gates_step(p, target))
-    else:
-        # borrow the lowest nontrivial part qudit, then swing it onto target
-        src = next(i for i in part if p.x[i] or p.z[i])
-        run(*_pivot_gates_step(p, src))
-        g = cnot(src, target)
-        run([g], gate_conjugate(g, p))       # X_src -> X_src X_target^{-1}
-        run(*_pivot_gates_step(p, target))   # normalize the new component
-    for u in part:
-        if u == target or (p.x[u] == 0 and p.z[u] == 0):
-            continue
-        run(*_pivot_gates_step(p, u))
-        g = cnot(target, u)
-        run([g], gate_conjugate(g, p))
-    if form == "Z":
-        for _ in range(3):
-            g = fourier(target)
-            run([g], gate_conjugate(g, p))
-    elif form == "Z-":
-        g = fourier(target)
-        run([g], gate_conjugate(g, p))
-    elif form != "X":
+    turns = {"X": 0, "Z": 3, "Z-": 1}.get(form)
+    if turns is None:
         raise ShapeMismatch(f"unknown pivot form {form!r}")
-    return gates, p
+
+    if any(comp[target]):
+        gates = _step_gates(*comp[target], target, d)
+    else:
+        # borrow the lowest nontrivial part qudit, then swing it onto
+        # target: CNOT(src, target) leaves target at (-1, 0)
+        src = nontrivial[0]
+        gates = (_step_gates(*comp[src], src, d) + [cnot(src, target)]
+                 + _step_gates(d - 1, 0, target, d))
+        comp[src] = (1, 0)
+    for u in nontrivial:
+        if u != target:
+            gates += _step_gates(*comp[u], u, d) + [cnot(target, u)]
+    return gates + [fourier(target)] * turns
 
 
 def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
@@ -292,28 +302,25 @@ def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
     Requires prime D, p supported inside `part`, and p^D = I so the residual
     phase is an omega power removable by trailing Pauli conjugations.
     """
-    part = sorted(part)
+    part = _checked_part(part, p.n)
     support = [i for i in part if p.x[i] or p.z[i]]
     if not support:
         raise IdentityOnPart("operator is trivial on the given part")
     outside = [i for i in range(p.n) if i not in part and (p.x[i] or p.z[i])]
     if outside:
         raise ShapeMismatch(f"operator acts outside the part at {outside}")
-    if target is None:
-        target = support[0]
-    form = "Z" if want_z else "X"
-    gates, moved = pivot_part_gates(p, part, target, form)
+    target = support[0] if target is None else target
+    gates = pivot_part_gates(to_row(p), part, target, "Z" if want_z else "X",
+                             p.d)
+    moved = conjugate(gates, p)
     if moved.gamma % 2 != 0:
         raise InvalidStabilizer("operator has p^D = -I; phase not removable")
+    expected = (z_op(p.d, p.n, target) if want_z else x_op(p.d, p.n, target))
+    if (moved.x, moved.z) != (expected.x, expected.z):
+        raise InvalidStabilizer("pivot failed to normalize the operator")
     c = moved.gamma // 2
     if c:
-        if want_z:
-            g = pauli_x(target, (-c) % p.d)   # conj by X^a: gamma += 2 a z
-        else:
-            g = pauli_z(target, c % p.d)      # conj by Z^b: gamma -= 2 b x
-        gates.append(g)
-        moved = gate_conjugate(g, moved)
-    expected = (z_op(p.d, p.n, target) if want_z else x_op(p.d, p.n, target))
-    if moved != expected:
-        raise InvalidStabilizer("pivot failed to normalize the operator")
+        # the exponent left is 1: conj by X^a adds 2 a z to gamma, Z^b -2 b x
+        gates.append(pauli_x(target, -c % p.d) if want_z
+                     else pauli_z(target, c % p.d))
     return tuple(gates)

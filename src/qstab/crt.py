@@ -59,19 +59,13 @@ def split_pauli(p: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliPr
 def _one_sided(p: PauliProduct, split: CrtSplit, side: int) -> PauliProduct:
     """Extract the side-`side` component of a CRT image that is trivial on the
     other side, folding the whole scalar prefactor into the kept component."""
-    d_keep = split.d1 if side == 1 else split.d2
-    d_other = split.d2 if side == 1 else split.d1
-    x1, z1, x2, z2 = (tuple(v % split.d1 for v in p.x),
-                      tuple((split.r1 * v) % split.d1 for v in p.z),
-                      tuple(v % split.d2 for v in p.x),
-                      tuple((split.r2 * v) % split.d2 for v in p.z))
-    keep_x, keep_z = (x1, z1) if side == 1 else (x2, z2)
-    other_x, other_z = (x2, z2) if side == 1 else (x1, z1)
-    if any(other_x) or any(other_z):
+    first, second = split_pauli(p, split)
+    keep, other = (first, second) if side == 1 else (second, first)
+    if not other.is_phase():
         raise InternalInvariant("component power is not one-sided")
-    if p.gamma % d_other != 0:
+    if p.gamma % other.d != 0:
         raise InternalInvariant("scalar prefactor does not embed in the component")
-    return PauliProduct(d_keep, p.gamma // d_other, keep_x, keep_z)
+    return PauliProduct(keep.d, p.gamma // other.d, keep.x, keep.z)
 
 
 def split_generator(g: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliProduct]:

@@ -151,14 +151,28 @@ def _orbit(action: tuple[np.ndarray, np.ndarray], v: np.ndarray, d: int):
     return itertools.accumulate(range(d - 1), lambda w, _: _act(action, w), initial=v)
 
 
+def _orbit_sum(action: tuple[np.ndarray, np.ndarray], v: np.ndarray,
+               d: int) -> np.ndarray:
+    """sum_{k<D} g^k v by doubling, composing g^m by index arithmetic: with
+    S(m) = sum_{k<m} g^k v, S(2m) = S(m) + g^m S(m) and S(m+1) = v + g S(m)."""
+    total, (idx, phase) = v, action
+    for bit in bin(d)[3:]:
+        total = total + _act((idx, phase), total)
+        idx, phase = idx[idx], phase[idx] * phase
+        if bit == "1":
+            total = v + _act(action, total)
+            idx, phase = action[0][idx], action[1][idx] * phase
+    return total
+
+
 def state_from_group(group: StabilizerGroup) -> np.ndarray:
     """Unit vector of the unique stabilizer state of a D^n-element group.
 
     A seeded random vector is projected through (1/D) sum_{k<D} g^k, the
     projector onto g's +1 eigenspace (g^order(g) = I and order(g) | D), for
-    each generator g; the product has rank D^n / |S| = 1. A vanishing
-    projection or a generator that does not fix the normalized result means
-    an inconsistent group.
+    each generator g (summed by doubling); the product has rank D^n / |S| = 1.
+    A vanishing projection or a generator that does not fix the normalized
+    result means an inconsistent group.
     """
     if not group.is_state():
         raise NotAState(f"group size {group.size} != {group.d}^{group.n}")
@@ -167,7 +181,7 @@ def state_from_group(group: StabilizerGroup) -> np.ndarray:
     v = np.array([rng.random() - 0.5 for _ in range(2 * dim)]).view(complex)
     actions = [_pauli_action(g) for g in group.gens]
     for action in actions:
-        v = sum(_orbit(action, v, d)) / d
+        v = _orbit_sum(action, v, d) / d
     norm = np.linalg.norm(v)
     if norm <= ZERO_TOL:
         raise NotRankOne("projection onto the group's fixed space vanished")

@@ -23,6 +23,7 @@ from .clifford import (
     phase_w,
     smult,
 )
+from .errors import InvalidCode, NonPrimeD
 from .pauli import PauliProduct, from_exponents
 from .stabilizer import GraphAdjacency, StabilizerGroup, from_graph
 from . import linalg
@@ -106,12 +107,8 @@ def random_code(d: int, n: int, k: int, seed: int):
     code at prime D. Returns (GraphAdjacency, list of coding PauliProducts)."""
     mod = factorize(d)
     if not mod.is_prime:
-        from .errors import NonPrimeD
-
         raise NonPrimeD("random codes are generated at prime D")
     if k > n:
-        from .errors import InvalidCode
-
         raise InvalidCode(f"k = {k} exceeds n = {n}")
     rng = random.Random(seed)
     graph = random_graph(d, n, rng)

@@ -293,19 +293,12 @@ def from_graph(adj: GraphAdjacency, d: int) -> StabilizerGroup:
 
 def epr_group(d: int) -> StabilizerGroup:
     """<X1 X2, Z1 Z2^{-1}>: the maximally entangled pair (1/sqrt D) sum |ii>."""
-    return StabilizerGroup(d, 2, (
-        from_exponents(d, (1, 1), (0, 0)),
-        from_exponents(d, (0, 0), (1, d - 1)),
-    ))
+    return StabilizerGroup(d, 2, tuple(epr_pair_generators(d, 2, 0, 1)))
 
 
 def ghz_group(d: int) -> StabilizerGroup:
     """<X1 X2 X3, Z1 Z2^{-1}, Z1 Z3^{-1}>: (1/sqrt D) sum |iii>."""
-    return StabilizerGroup(d, 3, (
-        from_exponents(d, (1, 1, 1), (0, 0, 0)),
-        from_exponents(d, (0, 0, 0), (1, d - 1, 0)),
-        from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
-    ))
+    return StabilizerGroup(d, 3, tuple(ghz_generators(d, 3, 0, 1, 2)))
 
 
 def plus_state_group(d: int, n: int) -> StabilizerGroup:

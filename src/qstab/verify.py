@@ -106,14 +106,12 @@ def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
             keep = analysis.out_b if side == "B" else analysis.out_c
             brute = oracle.brute_force_info_group(v_iso, keep, code.d,
                                                   code.n, code.k)
-            brute_rows = [list(x) + list(z) for x, z in brute
-                          if any(x) or any(z)]
+            # rref drops the zero rows, the phase-only elements among them
+            brute_rows = [list(x) + list(z) for x, z in brute]
             mapped = [to_original_input_basis(analysis, g) for g in gens]
-            mapped_rows = [list(g.x) + list(g.z) for g in mapped
-                           if any(g.x) or any(g.z)]
-            lhs = linalg.rref(brute_rows, code.d)[0] if brute_rows else []
-            rhs = linalg.rref(mapped_rows, code.d)[0] if mapped_rows else []
-            ok = ok and lhs == rhs
+            mapped_rows = [list(g.x) + list(g.z) for g in mapped]
+            ok = ok and (linalg.rref(brute_rows, code.d)[0]
+                         == linalg.rref(mapped_rows, code.d)[0])
         checks.append(("brute-force-info-groups", ok))
     else:
         checks.append(("brute-force-info-groups-skipped", True))

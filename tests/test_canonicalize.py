@@ -395,3 +395,33 @@ def test_non_local_circuits_are_not_exact():
     assert is_exact(s, dataclasses.replace(nf))
     assert not is_exact(s, moved)
     assert not is_exact(s, dataclasses.replace(nf, circuits=nf.circuits[:2]))
+
+
+def test_extraction_validates_once_and_replays_no_single_gates(monkeypatch):
+    # the input is validated when it is built; inside the normal form only
+    # is_exact builds groups (the conjugated input and the normal-form
+    # group), whatever n, and no gate is conjugated one at a time
+    import qstab.clifford as clifford
+
+    builds = []
+    real_init = StabilizerGroup.__post_init__
+
+    def counting_init(self):
+        builds.append(self)
+        real_init(self)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("single-gate conjugation during extraction")
+
+    counts = {}
+    for n in (12, 24):
+        s = random_state(3, n, 5)
+        parts = [list(range(0, n, 3)), list(range(1, n, 3)), list(range(2, n, 3))]
+        with monkeypatch.context() as m:
+            m.setattr(StabilizerGroup, "__post_init__", counting_init)
+            m.setattr(clifford, "gate_conjugate", forbidden)
+            builds.clear()
+            nf = tripartition_normal_form(s, *parts)
+            counts[n] = len(builds)
+        assert is_exact(s, dataclasses.replace(nf))
+    assert counts == {12: 2, 24: 2}

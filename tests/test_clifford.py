@@ -14,6 +14,7 @@ from qstab.clifford import (
     cnot,
     conjugate,
     conjugate_all,
+    conjugate_rows,
     cphase,
     fourier,
     gate_conjugate,
@@ -21,11 +22,13 @@ from qstab.clifford import (
     pauli_x,
     pauli_z,
     phase_w,
+    pivot_part_gates,
     pivot_to_x1,
     shear_word,
     smult,
 )
-from qstab.errors import IdentityOnPart, NonPrimeD, NotInvertible
+from qstab.errors import (IdentityOnPart, IndexOutOfRange, NonPrimeD,
+                          NotInvertible, ShapeMismatch)
 from qstab.modring import inv_mod
 from qstab.pauli import (
     from_exponents,
@@ -33,6 +36,7 @@ from qstab.pauli import (
     multiply,
     order,
     power,
+    to_row,
     x_op,
     z_op,
 )
@@ -273,6 +277,15 @@ def test_pivot_errors():
         pivot_to_x1(x_op(3, 2, 1), [0])
 
 
+def test_pivot_rejects_part_qudits_outside_register():
+    p = from_exponents(3, (1, 0), (0, 0))
+    for part in ([0, 7], [-1, 0]):
+        with pytest.raises(IndexOutOfRange):
+            pivot_to_x1(p, part)
+        with pytest.raises(IndexOutOfRange):
+            pivot_part_gates(to_row(p), part, 0, "X", 3)
+
+
 def test_gates_confined_to_part():
     rng = random.Random(19)
     d, n = 3, 4
@@ -383,9 +396,96 @@ def test_batched_conjugation_equals_per_row(case):
     d, n, gates, rows = case
     batched = conjugate_all(gates, rows)
     assert batched == tuple(reference_conjugate(gates, p) for p in rows)
+    assert conjugate_rows(gates, [to_row(p) for p in rows], d) == [
+        to_row(p) for p in batched]
     assert batched == tuple(conjugate(gates, p) for p in rows)
     if d <= 7:
         u = oracle.clifford_matrix(d, n, gates)
         for p, image in zip(rows, batched):
             assert oracle.matrices_equal(u @ oracle.pauli_matrix(p) @ u.conj().T,
                                          oracle.pauli_matrix(image))
+
+
+def reference_pivot_part_gates(p, part, target, form="X"):
+    """The replaying pivot: each step's gates are found by conjugating p
+    gate by gate and reading the exponents it lands on."""
+    d = p.d
+    part = sorted(part)
+    if target not in part:
+        raise IndexOutOfRange(f"target {target} not in part {part}")
+    if all(p.x[i] == 0 and p.z[i] == 0 for i in part):
+        raise IdentityOnPart("operator is trivial on the given part")
+
+    gates = []
+
+    def shoot(gate):
+        nonlocal p
+        gates.append(gate)
+        p = gate_conjugate(gate, p)
+
+    def step(q):
+        # turn p's q-component into exactly X_q
+        if p.x[q] == 0:
+            shoot(fourier(q))
+        for gate in shear_word(q, -p.z[q] * inv_mod(p.x[q], d), d):
+            shoot(gate)
+        if p.x[q] != 1:
+            shoot(smult(q, p.x[q]))
+
+    if p.x[target] or p.z[target]:
+        step(target)
+    else:
+        # borrow the lowest nontrivial part qudit, then swing it onto target
+        src = next(i for i in part if p.x[i] or p.z[i])
+        step(src)
+        shoot(cnot(src, target))
+        step(target)
+    for u in part:
+        if u == target or (p.x[u] == 0 and p.z[u] == 0):
+            continue
+        step(u)
+        shoot(cnot(target, u))
+    if form == "Z":
+        for _ in range(3):
+            shoot(fourier(target))
+    elif form == "Z-":
+        shoot(fourier(target))
+    elif form != "X":
+        raise ShapeMismatch(f"unknown pivot form {form!r}")
+    return gates, p
+
+
+@st.composite
+def pivot_cases(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 11, 1009, 2**31 - 1]))
+    n = draw(st.integers(1, 6))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    # sparse rows put the target off the support more often
+    sparse = st.lists(st.sampled_from([0, 0, 1, d - 1]), min_size=n, max_size=n)
+    x, z = draw(exps | sparse), draw(exps | sparse)
+    p = from_exponents(d, x, z, draw(st.integers(0, 2 * d - 1)))
+    part = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    target = draw(st.sampled_from(sorted(part)))
+    return p, part, target, draw(st.sampled_from(["X", "Z", "Z-"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_cases())
+def test_closed_form_pivot_equals_replay(case):
+    p, part, target, form = case
+    d = p.d
+    if all(p.x[i] == 0 and p.z[i] == 0 for i in part):
+        with pytest.raises(IdentityOnPart):
+            pivot_part_gates(to_row(p), part, target, form, d)
+        return
+    gates = pivot_part_gates(to_row(p), part, target, form, d)
+    want, moved = reference_pivot_part_gates(p, part, target, form)
+    assert gates == want
+    image = conjugate(gates, p)
+    assert image == moved
+    exponent = {"X": (1, 0), "Z": (0, 1), "Z-": (0, d - 1)}[form]
+    for q in part:
+        assert (image.x[q], image.z[q]) == (exponent if q == target else (0, 0))
+    for q in range(p.n):
+        if q not in part:
+            assert (image.x[q], image.z[q]) == (p.x[q], p.z[q])

@@ -1,6 +1,7 @@
 """Dense-matrix oracle semantics."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -316,3 +317,37 @@ def test_brute_force_info_group_matches_kron_reference(d, n, k, seed):
                 if oracle.pauli_transmitted(v_iso, keep, d, n,
                                             PauliProduct(d, 0, xs, zs))]
         assert oracle.brute_force_info_group(v_iso, keep, d, n, k) == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 1021, 4093])
+def test_orbit_sum_by_doubling_matches_literal_sum(d, monkeypatch):
+    # the doubled orbit sum equals v + g v + ... + g^{D-1} v term by term,
+    # and a state build acts at most 2 ceil(log2 D) times per generator
+    n = max(n for n in range(1, 13) if d**n <= oracle.DIMENSION_CAP)
+    rng = np.random.default_rng(d)
+    for seed in range(3):
+        group = random_state(d, n, seed)
+        v = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        for g in group.gens:
+            action = oracle._pauli_action(g)
+            literal, w = v, v
+            for _ in range(d - 1):
+                w = oracle._act(action, w)
+                literal = literal + w
+            assert np.allclose(oracle._orbit_sum(action, v, d), literal,
+                               rtol=0, atol=1e-9 * d)
+        calls = []
+        real_act = oracle._act
+
+        def counting_act(action, w):
+            calls.append(1)
+            return real_act(action, w)
+
+        monkeypatch.setattr(oracle, "_act", counting_act)
+        state = oracle.state_from_group(group)
+        monkeypatch.setattr(oracle, "_act", real_act)
+        assert len(calls) <= 2 * math.ceil(math.log2(d)) * len(group.gens)
+        if d <= 7:  # the per-axis product builds D x D matrices
+            for g in group.gens:
+                assert oracle.matrices_equal(_apply_by_axes(g, state), state,
+                                             tol=1e-9)
