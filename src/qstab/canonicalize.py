@@ -15,10 +15,15 @@ The constructive pipeline, for prime D:
      it to X_a X_b X_c; retire the triple.
 
 The input is validated once, when it is built. From there the active
-generators are canonical [gamma, x, z] echelon rows: each step takes its part
-subgroup with stabilizer.rows_on_part, writes pivot words in closed form from
-the exponents (clifford.pivot_part_gates), conjugates the rows through them
-(clifford.conjugate_rows), and retires qudits by eliminating their columns.
+generators are [gamma, x, z] echelon rows. A single or EPR phase holds them
+in the part-ordered echelon of its qudits (Fattal et al.,
+arXiv:quant-ph/0406168): rows pivoting off the part, then the canonical rows
+of the subgroup on it. That costs one elimination per phase; each step then
+writes pivot words in closed form from the exponents
+(clifford.pivot_part_gates), conjugates the rows through them
+(clifford.conjugate_rows), clears the retired columns with its own extracted
+rows and re-echelons only the rows on the part. GHZ steps work on the
+canonical natural-order rows, taking their subgroups per step.
 
 Squarefree composite D runs per prime factor after CRT decomposition; the
 composite counts are reported as the componentwise minimum across factors
@@ -27,7 +32,9 @@ composite counts are reported as the componentwise minimum across factors
 All tie-breaks are fixed (lowest generator index, lowest qudit index), so
 identical inputs produce identical normal forms. Every prime-D run ends with
 a built-in exactness check: the input conjugated by the returned unitaries
-must equal the normal-form group bit-exactly.
+must equal the normal-form group bit-exactly. It is checked in closed form:
+every conjugated generator lies in the normal-form group, and both groups
+have D^n elements.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from dataclasses import dataclass, field
 from . import linalg
 from .clifford import (
     Gate,
-    conjugate_all,
     conjugate_rows,
     pauli_x,
     pauli_z,
@@ -55,11 +61,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
-from .pauli import (PauliProduct, from_row, row_multiply, row_power, to_row,
-                    x_op)
+from .pauli import from_row, row_multiply, row_power, to_row, x_op
 from .stabilizer import (
     StabilizerGroup,
-    canonical_form,
     epr_pair_generators,
     ghz_generators,
     qudit_columns,
@@ -143,46 +147,50 @@ class NormalForm:
         return total
 
 
-def normal_form_group(nf: NormalForm) -> StabilizerGroup:
-    """The exact group the conjugated input must equal (prime D)."""
-    gens: list[PauliProduct] = []
-    for q, _ in nf.singles:
-        gens.append(x_op(nf.d, nf.n, q))
-    for _, _, qx, qy in nf.pairs:
-        gens.extend(epr_pair_generators(nf.d, nf.n, qx, qy))
-    for qa, qb, qc in nf.triples:
-        gens.extend(ghz_generators(nf.d, nf.n, qa, qb, qc))
-    return StabilizerGroup(nf.d, nf.n, tuple(gens))
-
-
 def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
     """Each part's circuit acts inside its part, and the input conjugated by
     the circuits equals the normal-form group bit-exactly (prime D).
 
     The part circuits are replayed one after another over the input
     generators; their supports are disjoint, so the order does not matter.
-    A form that passed this check against an equal input when it was built
-    is not replayed again.
+    The normal-form group is the set of rows with gamma 0 whose X exponents
+    are constant and whose Z exponents sum to 0 mod D on every role; with
+    roles covering each qudit once it has D^n elements. Replay keeps the
+    input's size, so a state whose replayed generators all lie in that set
+    equals it. A form that passed this check against an equal input when it
+    was built is not replayed again.
     """
     if nf._exact_for is not None and nf._exact_for == group:
         return True
-    if len(nf.circuits) != len(nf.parts):
+    if len(nf.circuits) != len(nf.parts) or (group.d, group.n) != (nf.d, nf.n):
         return False
     for part, circuit in zip(nf.parts, nf.circuits):
         allowed = set(part)
         if any(not allowed.issuperset(g.qudits) for g in circuit):
             return False
     gates = [g for circuit in nf.circuits for g in circuit]
-    conjugated = StabilizerGroup(group.d, group.n,
-                                 conjugate_all(gates, group.gens))
-    return canonical_form(conjugated) == canonical_form(normal_form_group(nf))
+    rows = conjugate_rows(gates, [to_row(g) for g in group.gens], nf.d)
+    roles = ([(q,) for q, _ in nf.singles]
+             + [(qx, qy) for _, _, qx, qy in nf.pairs] + list(nf.triples))
+    if (not group.is_state()
+            or sorted(q for role in roles for q in role) != list(range(nf.n))):
+        return False
+    n, d = nf.n, nf.d
+    return all(row[0] == 0 and all(
+        len({row[1 + q] for q in role}) == 1
+        and sum(row[1 + n + q] for q in role) % d == 0 for role in roles)
+        for row in rows)
 
 
 class _Extraction:
     """Mutable working state shared by the extraction steps (prime D).
 
-    The active group is held as canonical [gamma, x, z] echelon rows from
-    entry to end: the input was validated when built, and is_exact guards.
+    The active group is held as [gamma, x, z] echelon rows from entry to
+    end (the input was validated when built, and is_exact guards), in the
+    part-ordered echelon of the held qudit set: rows[:split] have their
+    pivots off the set, and rows[split:] are the canonical rows of the
+    subgroup trivial off it. Holding every active qudit gives the canonical
+    natural-order rows, which is where extraction starts.
     """
 
     def __init__(self, group: StabilizerGroup, partition: Partition):
@@ -192,6 +200,7 @@ class _Extraction:
         self.rows: list[list[int]] = [
             to_row(g) for g in reduce_generators(group.d, list(group.gens),
                                                  group.n)]
+        self.held, self.split = set(range(self.n)), 0
         self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
         self.singles: list[tuple[int, int]] = []
@@ -201,8 +210,33 @@ class _Extraction:
     def active_qudits(self, part_idx: int) -> list[int]:
         return [q for q in self.parts[part_idx] if q not in self.retired]
 
+    def hold(self, qudits) -> list[list[int]]:
+        """Canonical rows of the active elements trivial off `qudits`, with
+        the active group held in the part-ordered echelon of `qudits`.
+
+        A new set costs one elimination of all rows on the off-set columns,
+        then one of the rows left on the set's columns in natural order.
+        Gates inside the set keep the other rows an echelon off it, and
+        retire re-echelons the rows on it, so the same set again costs none.
+        """
+        qudits = set(qudits)
+        if qudits != self.held:
+            off = [q for q in range(self.n)
+                   if q not in qudits and q not in self.retired]
+            heads, _, local = linalg.echelon(
+                self.rows, qudit_columns(self.n, off), self.d, self.d)
+            local = linalg.echelon(local, sorted(qudit_columns(self.n, qudits)),
+                                   self.d, self.d)[0]
+            self.rows, self.split, self.held = heads + local, len(heads), qudits
+        return self.rows[self.split:]
+
+    def canonical(self) -> list[list[int]]:
+        """Hold every active qudit: the canonical natural-order rows."""
+        return self.hold(q for q in range(self.n) if q not in self.retired)
+
     def on_part(self, qudits) -> list[list[int]]:
-        """Canonical rows of the active elements trivial off `qudits`."""
+        """Canonical rows of the active elements trivial off `qudits`,
+        leaving the held echelon as it is."""
         return rows_on_part(self.rows, self.n, qudits, self.d, self.d)
 
     def lowest(self, row: list[int], qudits) -> int:
@@ -220,24 +254,35 @@ class _Extraction:
 
     def apply(self, part_idx: int, gates: list[Gate],
               tracked: list[list[int]]) -> list[list[int]]:
-        allowed = set(self.active_qudits(part_idx))
+        allowed = self.held.intersection(self.parts[part_idx])
         for g in gates:
             if not set(g.qudits) <= allowed:
-                raise InternalInvariant("gate escapes its part's active qudits")
+                raise InternalInvariant("gate escapes its part's held qudits")
         self.circuits[part_idx].extend(gates)
         k = len(self.rows)
         rows = conjugate_rows(gates, self.rows + tracked, self.d)
         self.rows = rows[:k]
         return rows[k:]
 
-    def retire(self, qudits) -> None:
-        """Retire `qudits`: the active rows become the canonical generators,
-        on the remaining qudits, of the subgroup acting trivially on them.
-        Echelon rows are independent and of order p, so counting them checks
+    def retire(self, qudits, tracked: list[list[int]]) -> None:
+        """Retire `qudits`, clearing their columns with the step's extracted
+        rows `tracked`, which must span the group there (at most one row
+        operation per tracked row). Only the rows on the held set are
+        re-echeloned; rows that fall dependent must be the exact identity.
+        Echelon rows are independent and of order p, so their count checks
         the group's size."""
+        basis, _, rest = linalg.echelon(
+            tracked + self.rows, qudit_columns(self.n, qudits), self.d, self.d)
+        if len(basis) != len(tracked):
+            raise InternalInvariant("extracted rows do not span the retired qudits")
         self.retired.update(qudits)
-        self.rows = self.on_part(
-            [q for q in range(self.n) if q not in self.retired])
+        self.held.difference_update(qudits)
+        local, _, dependent = linalg.echelon(
+            rest[self.split:], sorted(qudit_columns(self.n, self.held)),
+            self.d, self.d)
+        if any(any(row) for row in dependent):
+            raise InternalInvariant("active group holds a nontrivial phase")
+        self.rows = rest[:self.split] + local
         if len(self.rows) != self.n - len(self.retired):
             raise InternalInvariant("active group lost or gained elements")
 
@@ -290,7 +335,7 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     part_active = ctx.active_qudits(part_idx)
     if not part_active:
         return False
-    sub = ctx.on_part(part_active)
+    sub = ctx.hold(part_active)
     if not sub:
         return False
     s = sub[0]
@@ -301,7 +346,7 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     if s != ctx.row({target: 1}, {}):
         raise InternalInvariant("single-qudit pivot failed")
     ctx.singles.append((target, part_idx))
-    ctx.retire([target])
+    ctx.retire([target], [s])
     return True
 
 
@@ -311,7 +356,7 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     ay = ctx.active_qudits(pj)
     if not ax or not ay:
         return False
-    sub = ctx.on_part(ax + ay)
+    sub = ctx.hold(ax + ay)
     for a, b in itertools.combinations(range(len(sub)), 2):
         alpha = _comm_on(sub[b], sub[a], ax, ctx.n, ctx.d)
         if alpha:
@@ -341,7 +386,7 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     if s_k != ctx.row({qx: 1, qy: 1}, {}) or s_j != ctx.row({}, {qx: 1, qy: -1}):
         raise InternalInvariant("EPR shaping failed")
     ctx.pairs.append((pi, pj, qx, qy))
-    ctx.retire([qx, qy])
+    ctx.retire([qx, qy], [s_j, s_k])
     return True
 
 
@@ -349,6 +394,7 @@ def _extract_ghz_once(ctx: _Extraction) -> bool:
     """One GHZ extraction; False when the active group is exhausted."""
     if not ctx.rows:
         return False
+    ctx.canonical()  # _solve_for_pattern picks rows by their order
     aq = [ctx.active_qudits(i) for i in range(3)]
     sub_bc = ctx.on_part(aq[1] + aq[2])
     if not sub_bc:
@@ -390,24 +436,30 @@ def _extract_ghz_once(ctx: _Extraction) -> bool:
         raise InternalInvariant("GHZ shaping failed")
 
     ctx.triples.append((qa, qb, qc))
-    ctx.retire([qa, qb, qc])
+    ctx.retire([qa, qb, qc], [t1, t2, t3])
     return True
+
+
+def _extract_singles_and_pairs(ctx: _Extraction) -> None:
+    """Every single phase, then every EPR phase, each held on its qudits.
+
+    One round is enough: a step's new active group lies inside a part-local
+    conjugate of the old one, so no part's subgroup grows, and a second
+    round would extract nothing.
+    """
+    for pi in range(len(ctx.parts)):
+        while _extract_single_once(ctx, pi):
+            pass
+    for pi, pj in itertools.combinations(range(len(ctx.parts)), 2):
+        while _extract_epr_once(ctx, pi, pj):
+            pass
 
 
 def _prime_normal_form(group: StabilizerGroup,
                        partition: Partition) -> NormalForm:
     ctx = _Extraction(group, partition)
-    nparts = len(partition.parts)
-    changed = True
-    while changed:
-        changed = False
-        for pi in range(nparts):
-            while _extract_single_once(ctx, pi):
-                changed = True
-        for pi, pj in itertools.combinations(range(nparts), 2):
-            while _extract_epr_once(ctx, pi, pj):
-                changed = True
-    if nparts == 3:
+    _extract_singles_and_pairs(ctx)
+    if len(partition.parts) == 3:
         while _extract_ghz_once(ctx):
             pass
     if ctx.rows:
@@ -499,7 +551,7 @@ def extract_unentangled(group: StabilizerGroup,
     count = 0
     while _extract_single_once(ctx, 0):
         count += 1
-    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
+    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
         x_op(group.d, group.n, q) for q, _ in ctx.singles)
     return StabilizerGroup(group.d, group.n, gens), tuple(ctx.circuits[0]), count
 
@@ -518,7 +570,7 @@ def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     if not _extract_epr_once(ctx, 0, 1):
         return None
     _, _, qx, qy = ctx.pairs[0]
-    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
+    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
         epr_pair_generators(group.d, group.n, qx, qy))
     return (StabilizerGroup(group.d, group.n, gens),
             (tuple(ctx.circuits[0]), tuple(ctx.circuits[1])), (qx, qy))
@@ -549,7 +601,7 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
     if not _extract_ghz_once(ctx):
         return None
     qa, qb, qc = ctx.triples[0]
-    gens = tuple(from_row(group.d, row) for row in ctx.rows) + tuple(
+    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
         ghz_generators(group.d, group.n, qa, qb, qc))
     return (StabilizerGroup(group.d, group.n, gens),
             tuple(tuple(c) for c in ctx.circuits),

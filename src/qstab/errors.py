@@ -49,10 +49,6 @@ class NotAState(QstabError):
     """Stabilizer group does not have D^n elements."""
 
 
-class NotSubgroup(QstabError):
-    """A claimed element does not belong to the enclosing group."""
-
-
 class IdentityOnPart(QstabError):
     """Pivoting requested for an operator that is trivial on the given part."""
 

@@ -22,10 +22,8 @@ from . import linalg
 from .errors import (
     IndexOutOfRange,
     InvalidStabilizer,
-    NonPrimeD,
     NotAState,
     NotSquarefree,
-    NotSubgroup,
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
@@ -37,7 +35,6 @@ from .pauli import (
     multiply,
     order,
     power,
-    restrict,
     row_power,
     tensor,
     to_row,
@@ -223,33 +220,6 @@ def member(group: StabilizerGroup, p: PauliProduct) -> bool:
     return not any(row)
 
 
-def extend_generators(group: StabilizerGroup,
-                      partial: list[PauliProduct]) -> StabilizerGroup:
-    """Full generating set beginning with `partial` (prime D).
-
-    Adjoins generators of the group one at a time whenever they enlarge the
-    span, mirroring incremental generator completion.
-    """
-    if not factorize(group.d).is_prime:
-        raise NonPrimeD("generator completion is defined for prime D")
-    for t in partial:
-        if not member(group, t):
-            raise NotSubgroup(f"{to_text(t)} is not in the group")
-
-    def independent(gens) -> bool:
-        rows = [to_row(g) for g in gens]
-        return not linalg.echelon(rows, range(1, 2 * group.n + 1), group.d,
-                                  group.d)[2]
-
-    if not independent(partial):
-        raise InvalidStabilizer("partial generators are dependent")
-    chosen = list(partial)
-    for g in group.gens:
-        if independent(chosen + [g]):
-            chosen.append(g)
-    return StabilizerGroup(group.d, group.n, tuple(chosen))
-
-
 def tensor_groups(a: StabilizerGroup, b: StabilizerGroup) -> StabilizerGroup:
     """Group of the product state on the concatenated register."""
     if a.d != b.d:
@@ -257,26 +227,6 @@ def tensor_groups(a: StabilizerGroup, b: StabilizerGroup) -> StabilizerGroup:
     gens = [tensor(g, identity(b.d, b.n)) for g in a.gens]
     gens += [tensor(identity(a.d, a.n), g) for g in b.gens]
     return StabilizerGroup(a.d, a.n + b.n, tuple(gens))
-
-
-def try_factor(group: StabilizerGroup,
-               left) -> tuple[StabilizerGroup, StabilizerGroup] | None:
-    """Split into factors on `left` and its complement when possible.
-
-    Succeeds iff some generator basis has every generator supported entirely
-    on one side, which holds exactly when |S_left| * |S_right| = |S|.
-    """
-    left_sorted = sorted(set(left))
-    right_sorted = [i for i in range(group.n) if i not in set(left)]
-    sub_l = subgroup_on_part(group, left_sorted)
-    sub_r = subgroup_on_part(group, right_sorted)
-    if sub_l.size * sub_r.size != group.size:
-        return None
-    gl = StabilizerGroup(group.d, len(left_sorted),
-                         tuple(restrict(g, left_sorted) for g in sub_l.gens))
-    gr = StabilizerGroup(group.d, len(right_sorted),
-                         tuple(restrict(g, right_sorted) for g in sub_r.gens))
-    return gl, gr
 
 
 def from_graph(adj: GraphAdjacency, d: int) -> StabilizerGroup:

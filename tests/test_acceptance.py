@@ -15,7 +15,6 @@ import pytest
 from qstab import linalg, oracle
 from qstab.canonicalize import (
     bipartition_normal_form,
-    normal_form_group,
     tripartition_normal_form,
 )
 from qstab.channel import (
@@ -42,6 +41,8 @@ from qstab.stabilizer import (
     epr_group,
     ghz_group,
 )
+
+from nf_reference import normal_form_group
 
 # largest n with D^n inside the dense-oracle cap, per dimension
 DENSE_N_CAP = {2: 6, 3: 6, 5: 5, 6: 4, 10: 3}

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qstab import oracle
 from qstab.canonicalize import (
@@ -13,7 +14,6 @@ from qstab.canonicalize import (
     extract_ghz,
     extract_unentangled,
     is_exact,
-    normal_form_group,
     tripartition_normal_form,
 )
 from qstab.clifford import conjugate, cphase
@@ -41,6 +41,8 @@ from qstab.stabilizer import (
     tensor_groups,
 )
 from qstab.verify import verify_normal_form
+
+from nf_reference import normal_form_group, reference_is_exact
 
 
 def all_gates(nf):
@@ -368,21 +370,26 @@ def test_exactness_replays_once_per_built_form(monkeypatch):
     s = random_state(5, 5, 2)
     nf = tripartition_normal_form(s, [0, 1], [2, 3], [4])
     calls = []
-    real = canonicalize.conjugate_all
+    real = canonicalize.conjugate_rows
 
-    def spy(gates, paulis):
-        paulis = tuple(paulis)
-        calls.append(len(paulis))
-        return real(gates, paulis)
+    def spy(gates, rows, d):
+        calls.append(len(rows))
+        return real(gates, rows, d)
 
-    monkeypatch.setattr(canonicalize, "conjugate_all", spy)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_exact builds a group or eliminates")
+
+    parsed = parse_normal_form(render_normal_form(nf))
+    other = random_state(5, 5, 3)
+    monkeypatch.setattr(canonicalize, "conjugate_rows", spy)
+    monkeypatch.setattr(canonicalize.linalg, "echelon", forbidden)
+    monkeypatch.setattr(StabilizerGroup, "__post_init__", forbidden)
     assert is_exact(s, nf) and not calls
     # a parsed report, a copy, or another input is replayed in full: one
-    # batched replay over all five generators each
-    assert is_exact(s, parse_normal_form(render_normal_form(nf)))
+    # batched replay over all five generators each, checked in closed form
+    assert is_exact(s, parsed)
     assert calls == [5]
     assert is_exact(s, dataclasses.replace(nf))
-    other = random_state(5, 5, 3)
     assert not is_exact(other, nf)
     assert calls == [5, 5, 5]
 
@@ -398,9 +405,9 @@ def test_non_local_circuits_are_not_exact():
 
 
 def test_extraction_validates_once_and_replays_no_single_gates(monkeypatch):
-    # the input is validated when it is built; inside the normal form only
-    # is_exact builds groups (the conjugated input and the normal-form
-    # group), whatever n, and no gate is conjugated one at a time
+    # the input is validated when it is built; inside the normal form no
+    # group is built, is_exact included, whatever n, and no gate is
+    # conjugated one at a time
     import qstab.clifford as clifford
 
     builds = []
@@ -424,4 +431,104 @@ def test_extraction_validates_once_and_replays_no_single_gates(monkeypatch):
             nf = tripartition_normal_form(s, *parts)
             counts[n] = len(builds)
         assert is_exact(s, dataclasses.replace(nf))
-    assert counts == {12: 2, 24: 2}
+    assert counts == {12: 0, 24: 0}
+
+
+def test_hold_eliminates_once_per_phase(monkeypatch):
+    # a single or EPR phase holds one qudit set: its first step pays one
+    # full elimination (off-set columns, then the set's own), later steps
+    # reuse the held echelon, whatever n
+    import qstab.canonicalize as canonicalize
+    from qstab import linalg
+
+    real_hold = canonicalize._Extraction.hold
+    real_echelon = linalg.echelon
+    calls = []  # echelon calls made inside each hold
+
+    def spy_hold(self, qudits):
+        calls.append(0)
+
+        def counting_echelon(*args):
+            calls[-1] += 1
+            return real_echelon(*args)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "echelon", counting_echelon)
+            return real_hold(self, qudits)
+
+    for n in (24, 48):
+        s = random_state(3, n, 5)
+        parts = tuple(tuple(range(i, n, 3)) for i in range(3))
+        ctx = canonicalize._Extraction(s, canonicalize.Partition(n, parts))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(canonicalize._Extraction, "hold", spy_hold)
+            canonicalize._extract_singles_and_pairs(ctx)
+        full = [k for k in calls if k]
+        assert all(k == 2 for k in full)
+        assert len(full) <= 6  # three single phases, three EPR phases
+        assert len(ctx.singles) + len(ctx.pairs) > len(full)
+
+
+PRIMES = [2, 3, 5, 7, 11, 1009, 2**31 - 1]
+
+
+def _tampered(nf, how, rng):
+    """`nf` with one change: 1 a random gate added to one part's circuit,
+    2 two role qudits swapped, 3 a single moved to another qudit."""
+    if how == 1 and any(nf.parts):
+        i = rng.choice([i for i, part in enumerate(nf.parts) if part])
+        circuits = list(nf.circuits)
+        circuits[i] += tuple(random_part_gates(nf.d, nf.parts[i], rng, 1))
+        return dataclasses.replace(nf, circuits=tuple(circuits))
+    if how == 2 and nf.n >= 2:
+        a, b = rng.sample(range(nf.n), 2)
+        swap = {a: b, b: a}
+
+        def sw(q):
+            return swap.get(q, q)
+        return dataclasses.replace(
+            nf, singles=tuple((sw(q), i) for q, i in nf.singles),
+            pairs=tuple((i, j, sw(x), sw(y)) for i, j, x, y in nf.pairs),
+            triples=tuple(tuple(map(sw, t)) for t in nf.triples))
+    if how == 3 and nf.singles:
+        (_, i), *rest = nf.singles
+        return dataclasses.replace(
+            nf, singles=((rng.randrange(nf.n), i), *rest))
+    return dataclasses.replace(nf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 8), st.sampled_from([2, 3]),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_closed_form_exactness_matches_reference(d, n, nparts, how, rng):
+    s = random_state(d, n, rng.randrange(2**32))
+    labels = [rng.randrange(nparts) for _ in range(n)]
+    parts = [[q for q in range(n) if labels[q] == i] for i in range(nparts)]
+    build = bipartition_normal_form if nparts == 2 else tripartition_normal_form
+    nf = _tampered(build(s, *parts), how, rng)
+    assert is_exact(s, nf) == reference_is_exact(s, nf)
+    if how == 0:
+        assert is_exact(s, nf)
+
+
+def test_closed_form_exactness_false_cases():
+    s = plus_state_group(3, 3)
+    nf = dataclasses.replace(tripartition_normal_form(s, [0], [1], [2]))
+    assert nf.singles == ((0, 0), (1, 1), (2, 2)) and is_exact(s, nf)
+    # every replayed row lies in the group of these roles, so only the
+    # cover and size conditions can reject them
+    overlapping = dataclasses.replace(nf, singles=nf.singles + ((0, 0),))
+    uncovered = dataclasses.replace(nf, singles=nf.singles[:2])
+    assert not is_exact(s, overlapping)
+    assert not is_exact(s, uncovered)
+    assert not is_exact(StabilizerGroup(3, 3, s.gens[:2]), nf)
+    assert not is_exact(plus_state_group(5, 3), nf)
+    assert not is_exact(plus_state_group(3, 4), nf)
+    assert not is_exact(plus_state_group(3, 2), nf)
+    # roles cover every qudit once, but claim a pair where the state has
+    # two singles: only the constant X exponent on the pair tells them apart
+    s = plus_state_group(3, 2)
+    nf = dataclasses.replace(bipartition_normal_form(s, [0], [1]))
+    assert is_exact(s, nf)
+    assert not is_exact(s, dataclasses.replace(nf, singles=(),
+                                               pairs=((0, 1, 0, 1),)))

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,15 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
     report.write_text("\n".join(lines) + "\n")
     rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
                           "--state", str(state)], capsys)
+    assert rc == 1
+    assert "exactness: MISMATCH" in out
+    # overlapping roles: qudit 2 is both a single and in the GHZ triple
+    golden = Path(__file__).parent / "golden"
+    pivot = (golden / "d3_pivot.nf").read_text()
+    assert "single 1 1\n" in pivot and "triple 2 4 3\n" in pivot
+    report.write_text(pivot.replace("single 1 1\n", "single 2 1\n"))
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(golden / "d3_n4.stab")], capsys)
     assert rc == 1
     assert "exactness: MISMATCH" in out
 

@@ -5,7 +5,8 @@ D runs over primes and squarefree composites, n from 0 to 16, and every
 qudit lands in a random part, so parts may be empty. Each drawn instance
 must conserve qudits, match the algebraic cut ranks, come out the same
 twice, keep its counts under local Cliffords, and, at composite D, carry
-per-factor forms that re-verify against the CRT factors.
+per-factor forms that re-verify against the CRT factors. At prime D, one
+round of single and EPR phases leaves nothing for a second round.
 """
 
 import dataclasses
@@ -14,6 +15,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from qstab.canonicalize import (
+    Partition,
+    _extract_singles_and_pairs,
+    _Extraction,
     bipartition_normal_form,
     is_exact,
     tripartition_normal_form,
@@ -25,9 +29,12 @@ from qstab.randgen import random_part_gates, random_state, scramble_group
 from qstab.stabilizer import reduced_rank
 
 
+PRIMES = [2, 3, 5, 7, 11, 1009, 2**31 - 1]
+
+
 @st.composite
-def partitioned_states(draw, nparts):
-    d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
+def partitioned_states(draw, nparts, dims=(2, 3, 5, 7, 6, 10, 15, 30)):
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(0, 16))
     labels = draw(st.lists(st.integers(0, nparts - 1), min_size=n, max_size=n))
     parts = [[q for q in range(n) if labels[q] == i] for i in range(nparts)]
@@ -88,3 +95,14 @@ def test_tripartition_properties(case, rng: random.Random):
 @given(partitioned_states(2), st.randoms(use_true_random=False))
 def test_bipartition_properties(case, rng: random.Random):
     _check_properties(bipartition_normal_form, *case, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(partitioned_states(3, PRIMES))
+def test_one_round_of_single_and_epr_phases_suffices(case):
+    group, parts = case
+    ctx = _Extraction(group, Partition(group.n, tuple(map(tuple, parts))))
+    _extract_singles_and_pairs(ctx)
+    done = (list(ctx.singles), list(ctx.pairs), [list(c) for c in ctx.circuits])
+    _extract_singles_and_pairs(ctx)
+    assert (ctx.singles, ctx.pairs, ctx.circuits) == done

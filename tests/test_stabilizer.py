@@ -12,7 +12,6 @@ from qstab.errors import (
     InvalidStabilizer,
     NotAState,
     NotSquarefree,
-    NotSubgroup,
 )
 from qstab.pauli import (
     PauliProduct,
@@ -30,7 +29,6 @@ from qstab.stabilizer import (
     canonical_form,
     elements,
     epr_group,
-    extend_generators,
     from_graph,
     ghz_group,
     groups_equal,
@@ -39,7 +37,6 @@ from qstab.stabilizer import (
     reduced_rank,
     subgroup_on_part,
     tensor_groups,
-    try_factor,
 )
 
 
@@ -191,33 +188,6 @@ def test_state_projector_rank_one():
             assert abs(complex(v.conj() @ v) - 1.0) < 1e-9
 
 
-def test_extend_generators_full_set():
-    s = ghz_group(3)
-    ext = extend_generators(s, list(s.gens))
-    assert groups_equal(ext, s)
-
-
-def test_extend_generators_from_xxx():
-    for d in (2, 3, 5):
-        s = ghz_group(d)
-        xxx = from_exponents(d, (1, 1, 1), (0, 0, 0))
-        ext = extend_generators(s, [xxx])
-        assert ext.gens[0] == xxx
-        assert len(ext.gens) == 3
-        assert groups_equal(ext, s)
-
-
-def test_extend_generators_empty():
-    s = epr_group(5)
-    ext = extend_generators(s, [])
-    assert groups_equal(ext, s)
-
-
-def test_extend_generators_rejects_outsiders():
-    with pytest.raises(NotSubgroup):
-        extend_generators(ghz_group(3), [x_op(3, 3, 0)])
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]), st.integers(1, 5),
        st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
@@ -261,30 +231,25 @@ def test_member_detects_phase_mismatch():
     assert not member(s, from_exponents(3, (1, 1), (0, 0), 2))
 
 
-def test_tensor_and_try_factor():
+def test_factors_by_part_subgroup_sizes():
+    # a state factors across a cut exactly when the subgroups on the two
+    # sides together have the group's size
+    def factors(group, left):
+        right = [q for q in range(group.n) if q not in left]
+        return (subgroup_on_part(group, left).size
+                * subgroup_on_part(group, right).size == group.size)
+
     for d in (2, 3, 6):
         prod = tensor_groups(epr_group(d), plus_state_group(d, 1))
-        split = try_factor(prod, [0, 1])
-        assert split is not None
-        left, right = split
-        assert groups_equal(left, epr_group(d))
-        assert groups_equal(right, plus_state_group(d, 1))
-
-
-def test_try_factor_ghz_fails():
-    for d in (2, 3, 6):
-        assert try_factor(ghz_group(d), [0]) is None
-        assert try_factor(ghz_group(d), [1, 2]) is None
-
-
-def test_try_factor_eq100():
+        assert factors(prod, [0, 1])
+        assert groups_equal(subgroup_on_part(prod, [2]),
+                            StabilizerGroup(d, 3, (x_op(d, 3, 2),)))
+        assert not factors(ghz_group(d), [0])
+        assert not factors(ghz_group(d), [1, 2])
     # the first example state factors across {A1, B1} | {A2}
     for d in (2, 3):
-        split = try_factor(eq100_s1(d), [0, 2])
-        assert split is not None
-        left, right = split
-        assert groups_equal(left, epr_group(d))
-        assert groups_equal(right, plus_state_group(d, 1))
+        assert factors(eq100_s1(d), [0, 2])
+        assert not factors(eq100_s1(d), [0])
 
 
 def test_epr_ghz_dense_states():
