@@ -19,6 +19,7 @@ from qstab.pauli import (
     is_identity_on,
     multiply,
     power,
+    restrict,
     x_op,
     z_op,
 )
@@ -231,25 +232,50 @@ def test_member_detects_phase_mismatch():
     assert not member(s, from_exponents(3, (1, 1), (0, 0), 2))
 
 
-def test_factors_by_part_subgroup_sizes():
-    # a state factors across a cut exactly when the subgroups on the two
-    # sides together have the group's size
-    def factors(group, left):
-        right = [q for q in range(group.n) if q not in left]
-        return (subgroup_on_part(group, left).size
-                * subgroup_on_part(group, right).size == group.size)
+def split_across(group, left):
+    """The two factors of group across left | rest, each on its own qudits,
+    or None when it does not factor.
 
+    A state factors across a cut exactly when the subgroups on the two sides
+    together have the group's size.
+    """
+    right = [q for q in range(group.n) if q not in left]
+    sides = [subgroup_on_part(group, side) for side in (left, right)]
+    if sides[0].size * sides[1].size != group.size:
+        return None
+    return tuple(
+        StabilizerGroup(group.d, len(side),
+                        tuple(restrict(g, side) for g in sub.gens))
+        for side, sub in zip((left, right), sides))
+
+
+def test_tensor_and_try_factor():
     for d in (2, 3, 6):
         prod = tensor_groups(epr_group(d), plus_state_group(d, 1))
-        assert factors(prod, [0, 1])
+        split = split_across(prod, [0, 1])
+        assert split is not None
+        left, right = split
+        assert groups_equal(left, epr_group(d))
+        assert groups_equal(right, plus_state_group(d, 1))
         assert groups_equal(subgroup_on_part(prod, [2]),
                             StabilizerGroup(d, 3, (x_op(d, 3, 2),)))
-        assert not factors(ghz_group(d), [0])
-        assert not factors(ghz_group(d), [1, 2])
+
+
+def test_try_factor_ghz_fails():
+    for d in (2, 3, 6):
+        assert split_across(ghz_group(d), [0]) is None
+        assert split_across(ghz_group(d), [1, 2]) is None
+
+
+def test_try_factor_eq100():
     # the first example state factors across {A1, B1} | {A2}
     for d in (2, 3):
-        assert factors(eq100_s1(d), [0, 2])
-        assert not factors(eq100_s1(d), [0])
+        split = split_across(eq100_s1(d), [0, 2])
+        assert split is not None
+        left, right = split
+        assert groups_equal(left, epr_group(d))
+        assert groups_equal(right, plus_state_group(d, 1))
+        assert split_across(eq100_s1(d), [0]) is None
 
 
 def test_epr_ghz_dense_states():
