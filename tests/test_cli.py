@@ -232,6 +232,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_cached_parser_keeps_calls_apart(tmp_path, capsys, monkeypatch):
+    from qstab import cli, formats
+    from qstab.stabilizer import epr_group
+
+    assert cli._build_parser() is cli._build_parser()
+    state = tmp_path / "epr.stab"
+    state.write_text(formats.render_stabilizer(epr_group(3)))
+    argv = ["canonicalize", "--state", str(state), "--parts", "1/2"]
+    seen = []
+    real = cli.verify.require_all
+    monkeypatch.setattr(cli.verify, "require_all",
+                        lambda checks: seen.append(checks) or real(checks))
+    assert run_cli(argv + ["--verify"], capsys)[0] == 0
+    assert run_cli(argv, capsys)[0] == 0
+    assert len(seen) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["canonicalize", "--state", str(state)])
+    assert exc.value.code == 2
+    assert run_cli(argv, capsys)[0] == 0
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qstab.cli", "random-code", "--D", "2",
