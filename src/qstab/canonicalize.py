@@ -14,12 +14,16 @@ The constructive pipeline, for prime D:
      Z_a^{-1} Z_b; locate the element whose C-pattern is a bare X_c and shape
      it to X_a X_b X_c; retire the triple.
 
-The input is validated once, when it is built. From there the active
-generators are [gamma, x, z] echelon rows. A single or EPR phase holds them
-in the part-ordered echelon of its qudits (Fattal et al.,
-arXiv:quant-ph/0406168): rows pivoting off the part, then the canonical rows
-of the subgroup on it. That costs one elimination per phase; each step then
-writes pivot words in closed form from the exponents
+The input is validated once, when it is built, and extraction starts from
+the natural-order echelon rows that validation kept on the group; from there
+the active generators are [gamma, x, z] echelon rows. A single phase first
+asks by rank whether its part A carries a local element: the active state is
+pure, so that subgroup has dimension 2|A| - rank of the rows on A's columns
+(Fattal et al., arXiv:quant-ph/0406168), and full rank ends the phase with
+no elimination. Otherwise a single or EPR phase holds the rows in the
+part-ordered echelon of its qudits: rows pivoting off the part, then the
+canonical rows of the subgroup on it. That costs one elimination per
+phase; each step then writes pivot words in closed form from the exponents
 (clifford.pivot_part_gates), conjugates the rows through them
 (clifford.conjugate_rows), clears the retired columns with its own extracted
 rows and re-echelons only the rows on the part. GHZ steps work on the
@@ -67,9 +71,24 @@ from .stabilizer import (
     epr_pair_generators,
     ghz_generators,
     qudit_columns,
-    reduce_generators,
     rows_on_part,
 )
+
+
+def check_cover(parts, n: int, base: int = 0,
+                where: str = "the partition") -> None:
+    """Raise ShapeMismatch unless `parts` split the n qudits; messages
+    number qudits from `base`."""
+    seen: set[int] = set()
+    for q in (q for part in parts for q in part):
+        if not 0 <= q < n:
+            raise ShapeMismatch(f"qudit {q + base} outside register of size {n}")
+        if q in seen:
+            raise ShapeMismatch(f"qudit {q + base} appears twice in {where}")
+        seen.add(q)
+    missing = [q + base for q in range(n) if q not in seen]
+    if missing:
+        raise ShapeMismatch(f"qudits {missing} not covered by {where}")
 
 
 @dataclass(frozen=True)
@@ -82,17 +101,7 @@ class Partition:
     def __post_init__(self) -> None:
         if len(self.parts) not in (2, 3):
             raise ShapeMismatch("partitions have two or three parts")
-        seen: set[int] = set()
-        for part in self.parts:
-            for q in part:
-                if not 0 <= q < self.n:
-                    raise ShapeMismatch(f"qudit {q} outside register of size {self.n}")
-                if q in seen:
-                    raise ShapeMismatch(f"qudit {q} appears in two parts")
-                seen.add(q)
-        if len(seen) != self.n:
-            missing = sorted(set(range(self.n)) - seen)
-            raise ShapeMismatch(f"qudits {missing} not covered by the partition")
+        check_cover(self.parts, self.n)
         object.__setattr__(self, "parts",
                            tuple(tuple(sorted(p)) for p in self.parts))
 
@@ -197,9 +206,7 @@ class _Extraction:
         self.d = group.d
         self.n = group.n
         self.parts = [list(p) for p in partition.parts]
-        self.rows: list[list[int]] = [
-            to_row(g) for g in reduce_generators(group.d, list(group.gens),
-                                                 group.n)]
+        self.rows = [list(row) for row in group._canonical_rows]
         self.held, self.split = set(range(self.n)), 0
         self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
@@ -211,24 +218,25 @@ class _Extraction:
         return [q for q in self.parts[part_idx] if q not in self.retired]
 
     def hold(self, qudits) -> list[list[int]]:
-        """Canonical rows of the active elements trivial off `qudits`, with
-        the active group held in the part-ordered echelon of `qudits`.
-
-        A new set costs one elimination of all rows on the off-set columns,
-        then one of the rows left on the set's columns in natural order.
-        Gates inside the set keep the other rows an echelon off it, and
-        retire re-echelons the rows on it, so the same set again costs none.
-        """
+        """Canonical rows of the active elements trivial off `qudits`,
+        holding the group in their part-ordered echelon (rows_on_part). Gates
+        inside the set keep the heads an echelon off it and retire re-echelons
+        the rows on it, so holding the same set again eliminates nothing."""
         qudits = set(qudits)
         if qudits != self.held:
-            off = [q for q in range(self.n)
-                   if q not in qudits and q not in self.retired]
-            heads, _, local = linalg.echelon(
-                self.rows, qudit_columns(self.n, off), self.d, self.d)
-            local = linalg.echelon(local, sorted(qudit_columns(self.n, qudits)),
-                                   self.d, self.d)[0]
+            heads, local = rows_on_part(self.rows, self.n, qudits, self.d,
+                                        self.d)
             self.rows, self.split, self.held = heads + local, len(heads), qudits
         return self.rows[self.split:]
+
+    def trivial_on(self, qudits) -> bool:
+        """No active element but I is trivial off A = `qudits`: the active
+        state is pure, so that subgroup has dimension 2|A| minus the rank of
+        the rows on A's 2|A| columns (eliminated as column vectors)."""
+        columns = qudit_columns(self.n, qudits)
+        return len(columns) <= len(self.rows) and linalg.rank(
+            [[row[c] for row in self.rows] for c in columns],
+            self.d) == len(columns)
 
     def canonical(self) -> list[list[int]]:
         """Hold every active qudit: the canonical natural-order rows."""
@@ -237,7 +245,7 @@ class _Extraction:
     def on_part(self, qudits) -> list[list[int]]:
         """Canonical rows of the active elements trivial off `qudits`,
         leaving the held echelon as it is."""
-        return rows_on_part(self.rows, self.n, qudits, self.d, self.d)
+        return rows_on_part(self.rows, self.n, qudits, self.d, self.d)[1]
 
     def lowest(self, row: list[int], qudits) -> int:
         """Lowest qudit of `qudits` where `row` acts nontrivially."""
@@ -333,7 +341,8 @@ def _solve_for_pattern(rows: list[list[int]], qudits, want: list[int],
 def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     """One unentangled-qudit extraction from `part_idx`, if possible."""
     part_active = ctx.active_qudits(part_idx)
-    if not part_active:
+    if not part_active or (set(part_active) != ctx.held
+                           and ctx.trivial_on(part_active)):
         return False
     sub = ctx.hold(part_active)
     if not sub:
@@ -588,7 +597,7 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
                                     tuple(part_c)))
     ctx = _Extraction(group, partition)
     for pi in range(3):
-        if ctx.on_part(ctx.active_qudits(pi)):
+        if not ctx.trivial_on(ctx.active_qudits(pi)):
             raise PreconditionViolated(
                 f"part {pi} still carries an unentangled subsystem")
     for pi, pj in itertools.combinations(range(3), 2):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .canonicalize import NormalForm, tripartition_normal_form
+from .canonicalize import NormalForm, check_cover, tripartition_normal_form
 from .clifford import Gate, conjugate, cphase, inverse_gates
 from .errors import (
     InternalInvariant,
@@ -45,6 +45,7 @@ from .stabilizer import (
     GraphAdjacency,
     StabilizerGroup,
     from_graph,
+    graph_generators,
     reduced_rank,
 )
 
@@ -92,14 +93,12 @@ def code_to_choi_state(code: CodeSpec) -> StabilizerGroup:
     total = k + n
     out_slots = list(range(k, k + n))
     gens: list[PauliProduct] = []
-    graph_gens = code.graph_group.gens
-    for j in range(n):
+    for j, g in enumerate(graph_generators(code.graph, d)):
         # beta_{jl} is the commutation phase of g_j with f_l: the Z exponent
         # of f_l at vertex j, because g_j carries X only at vertex j
         z_in = [(-code.coding_gens[length].z[j]) % d for length in range(k)]
-        dressed = multiply(from_exponents(d, [0] * total, z_in + [0] * n),
-                           embed(graph_gens[j], total, out_slots))
-        gens.append(dressed)
+        gens.append(multiply(from_exponents(d, [0] * total, z_in + [0] * n),
+                             embed(g, total, out_slots)))
     for length in range(k):
         gens.append(multiply(x_op(d, total, length),
                              embed(inverse(code.coding_gens[length]), total,
@@ -188,10 +187,7 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
     """
     out_b = tuple(sorted(out_b))
     out_c = tuple(sorted(out_c))
-    if set(out_b) & set(out_c):
-        raise ShapeMismatch("B and C overlap")
-    if set(out_b) | set(out_c) != set(range(code.n)):
-        raise ShapeMismatch("B and C must cover all output qudits")
+    check_cover((out_b, out_c), code.n, where="B and C")
     k = code.k
     choi = code_to_choi_state(code)
     part_a = list(range(k))

@@ -15,7 +15,11 @@ import sys
 from pathlib import Path
 
 from . import formats, randgen, verify
-from .canonicalize import bipartition_normal_form, tripartition_normal_form
+from .canonicalize import (
+    bipartition_normal_form,
+    check_cover,
+    tripartition_normal_form,
+)
 from .channel import CodeSpec, analyze_channel, code_to_choi_state
 from .crt import decompose_state
 from .errors import QstabError
@@ -47,12 +51,11 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_canonicalize(args) -> int:
     group = formats.parse_stabilizer(Path(args.state).read_text())
     parts = _parse_parts(args.parts)
-    if len(parts) == 2:
-        nf = bipartition_normal_form(group, parts[0], parts[1])
-    elif len(parts) == 3:
-        nf = tripartition_normal_form(group, parts[0], parts[1], parts[2])
-    else:
+    if len(parts) not in (2, 3):
         raise QstabError(f"need 2 or 3 parts, got {len(parts)}")
+    check_cover(parts, group.n, 1, "--parts")
+    build = bipartition_normal_form if len(parts) == 2 else tripartition_normal_form
+    nf = build(group, *parts)
     if args.verify:
         verify.require_all(verify.verify_normal_form(group, nf))
     if args.emit_gates:
@@ -81,6 +84,7 @@ def _cmd_channel(args) -> int:
     code = formats.parse_code(Path(args.code).read_text())
     out_b = _parse_index_list(args.B)
     out_c = _parse_index_list(args.C)
+    check_cover([out_b, out_c], code.n, 1, "--B and --C")
     analysis = analyze_channel(code, out_b, out_c)
     if args.verify:
         verify.require_all(verify.verify_channel_analysis(analysis))

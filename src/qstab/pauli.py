@@ -171,22 +171,6 @@ def tensor(p: PauliProduct, q: PauliProduct) -> PauliProduct:
     return PauliProduct(p.d, p.gamma + q.gamma, p.x + q.x, p.z + q.z)
 
 
-def restrict(p: PauliProduct, qudits: list[int] | tuple[int, ...],
-             keep_phase: bool = True) -> PauliProduct:
-    """Component of p on the listed qudits (in the given order).
-
-    The phase of a split is ambiguous; by convention the whole gamma rides on
-    whichever factor asks for it (keep_phase).
-    """
-    x = tuple(p.x[i] for i in qudits)
-    z = tuple(p.z[i] for i in qudits)
-    return PauliProduct(p.d, p.gamma if keep_phase else 0, x, z)
-
-
-def is_identity_on(p: PauliProduct, qudits) -> bool:
-    return all(p.x[i] == 0 and p.z[i] == 0 for i in qudits)
-
-
 def proportional(p: PauliProduct, q: PauliProduct) -> int | None:
     """The c with p = lambda^c q when exponent vectors agree, else None."""
     _check_shapes(p, q)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -36,7 +36,6 @@ from .pauli import (
     order,
     power,
     row_power,
-    tensor,
     to_row,
     to_text,
     x_op,
@@ -77,6 +76,10 @@ class StabilizerGroup:
     d: int
     n: int
     gens: tuple[PauliProduct, ...]
+    # at prime D, the natural-order echelon rows validation computed: the
+    # rows of reduce_generators, never mutated in place; None otherwise
+    _canonical_rows: tuple[list[int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mod = factorize(self.d)
@@ -100,8 +103,12 @@ class StabilizerGroup:
                     f"{to_text(self.gens[b])} do not commute")
         for p in mod.primes:
             rows = [to_row(g) for g in self.gens if order(g) % p == 0]
-            if linalg.echelon(rows, range(1, 2 * self.n + 1), p, self.d)[2]:
+            basis, _, rest = linalg.echelon(rows, range(1, 2 * self.n + 1),
+                                            p, self.d)
+            if rest:
                 raise InvalidStabilizer(f"generators dependent mod {p}")
+        if mod.is_prime:
+            object.__setattr__(self, "_canonical_rows", tuple(basis))
 
     @property
     def size(self) -> int:
@@ -169,76 +176,72 @@ def elements(group: StabilizerGroup):
 
 
 def rows_on_part(rows: list[list[int]], n: int, part, p: int,
-                 d: int) -> list[list[int]]:
-    """Canonical echelon rows of the elements of span(rows) trivial off `part`.
+                 d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Part-ordered echelon of span(rows): (heads, local).
 
-    Eliminating the off-part columns first leaves the rows that vanish off
-    the part; they span that subgroup (the part-ordered canonical form), and
-    their echelon on the part's columns in natural order is canonical.
+    Eliminating the off-part columns first gives the heads, pivoting off the
+    part, and leaves the rows that vanish off it; they span the subgroup
+    trivial off the part, and their echelon on the part's columns in natural
+    order, `local`, is its canonical form.
     """
     part_set = set(part)
     off = [q for q in range(n) if q not in part_set]
-    local = linalg.echelon(rows, qudit_columns(n, off), p, d)[2]
-    return linalg.echelon(local, sorted(qudit_columns(n, part_set)), p, d)[0]
+    heads, _, rest = linalg.echelon(rows, qudit_columns(n, off), p, d)
+    return heads, linalg.echelon(rest, sorted(qudit_columns(n, part_set)),
+                                 p, d)[0]
+
+
+def _checked_part(part, n: int) -> set[int]:
+    part_set = set(part)
+    bad = sorted(q for q in part_set if not 0 <= q < n)
+    if bad:
+        raise IndexOutOfRange(f"qudits {bad} outside register of size {n}")
+    return part_set
 
 
 def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:
     """Subgroup of elements acting as the identity off `part`, per prime
     factor from the Sylow rows (canonical generators)."""
-    part_set = set(part)
-    bad = sorted(q for q in part_set if not 0 <= q < group.n)
-    if bad:
-        raise IndexOutOfRange(f"qudits {bad} outside register of size {group.n}")
+    part_set = _checked_part(part, group.n)
     gens = []
     for p in factorize(group.d).primes:
         rows = rows_on_part(_sylow_rows(group.gens, p, group.d), group.n,
-                            part_set, p, group.d)
+                            part_set, p, group.d)[1]
         gens.extend(from_row(group.d, row) for row in rows)
     return StabilizerGroup(group.d, group.n, tuple(gens))
 
 
 def reduced_rank(group: StabilizerGroup, part) -> int:
-    """Rank of the reduced density operator on `part`: D^{|part|} / |S_part|."""
+    """Rank of the reduced density operator on `part`: D^{|part|} / |S_part|.
+
+    A pure state's subgroup on a part A has dimension 2|A| - rank_p(S|_A)
+    per prime p, where S|_A is the Sylow rows restricted to A's columns
+    (Fattal et al., arXiv:quant-ph/0406168), so the rank is the product of
+    p^(rank_p(S|_A) - |A|); no subgroup is built.
+    """
     if not group.is_state():
         raise NotAState(f"group size {group.size} != D^n")
-    sub = subgroup_on_part(group, part)
-    return group.d ** len(set(part)) // sub.size
+    part_set = _checked_part(part, group.n)
+    columns = qudit_columns(group.n, part_set)
+    out = 1
+    for p in factorize(group.d).primes:
+        rows = _sylow_rows(group.gens, p, group.d)
+        out *= p ** (linalg.rank([[row[c] for row in rows] for c in columns], p)
+                     - len(part_set))
+    return out
 
 
-def member(group: StabilizerGroup, p: PauliProduct) -> bool:
-    """p is in the group exactly, phase included: reduced against each
-    prime's basis, it leaves the identity."""
-    if p.d != group.d or p.n != group.n:
-        raise ShapeMismatch("element shape differs from group shape")
-    row = to_row(p)
-    for pr in factorize(group.d).primes:
-        rest = linalg.echelon(_sylow_rows(group.gens, pr, group.d) + [row],
-                              range(1, 2 * group.n + 1), pr, group.d)[2]
-        if not rest:
-            return False
-        row = rest[0]
-    return not any(row)
-
-
-def tensor_groups(a: StabilizerGroup, b: StabilizerGroup) -> StabilizerGroup:
-    """Group of the product state on the concatenated register."""
-    if a.d != b.d:
-        raise ShapeMismatch("dimensions differ")
-    gens = [tensor(g, identity(b.d, b.n)) for g in a.gens]
-    gens += [tensor(identity(a.d, a.n), g) for g in b.gens]
-    return StabilizerGroup(a.d, a.n + b.n, tuple(gens))
+def graph_generators(adj: GraphAdjacency, d: int) -> list[PauliProduct]:
+    """Graph-state generators: generator i is X_i times Z_j^{-w_ij} over
+    neighbors."""
+    n = adj.n
+    return [from_exponents(d, [int(j == i) for j in range(n)],
+                           [-w % d for w in adj.weights[i]]) for i in range(n)]
 
 
 def from_graph(adj: GraphAdjacency, d: int) -> StabilizerGroup:
-    """Graph-state group: generator i is X_i times Z_j^{-w_ij} over neighbors."""
-    n = adj.n
-    gens = []
-    for i in range(n):
-        x = [0] * n
-        x[i] = 1
-        z = [(-adj.weights[i][j]) % d for j in range(n)]
-        gens.append(from_exponents(d, x, z))
-    return StabilizerGroup(d, n, tuple(gens))
+    """Graph-state group of graph_generators."""
+    return StabilizerGroup(d, adj.n, tuple(graph_generators(adj, d)))
 
 
 def epr_group(d: int) -> StabilizerGroup:

@@ -1,6 +1,7 @@
 """Normal-form extraction: golden examples, oracle agreement, invariance."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -38,10 +39,10 @@ from qstab.stabilizer import (
     groups_equal,
     plus_state_group,
     subgroup_on_part,
-    tensor_groups,
 )
 from qstab.verify import verify_normal_form
 
+from group_helpers import tensor_groups
 from nf_reference import normal_form_group, reference_is_exact
 
 
@@ -470,6 +471,73 @@ def test_hold_eliminates_once_per_phase(monkeypatch):
 
 
 PRIMES = [2, 3, 5, 7, 11, 1009, 2**31 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 8), st.sampled_from([2, 3]),
+       st.randoms(use_true_random=False))
+def test_rank_gate_matches_hold_mid_extraction(d, n, nparts, rng):
+    # before and after every single and EPR step, the rank gate finds a
+    # part's active subgroup trivial exactly when holding it yields no rows;
+    # parts may be empty or hold the whole register
+    import copy
+
+    import qstab.canonicalize as canonicalize
+
+    s = random_state(d, n, rng.randrange(2**32))
+    labels = [rng.randrange(nparts) if rng.random() < 0.8 else 0
+              for _ in range(n)]
+    parts = tuple(tuple(q for q in range(n) if labels[q] == i)
+                  for i in range(nparts))
+    ctx = canonicalize._Extraction(s, canonicalize.Partition(n, parts))
+
+    def check():
+        for i in range(nparts):
+            active = ctx.active_qudits(i)
+            held = copy.deepcopy(ctx).hold(active)
+            assert ctx.trivial_on(active) == (not held)
+
+    check()
+    for i in range(nparts):
+        while canonicalize._extract_single_once(ctx, i):
+            check()
+    for i, j in itertools.combinations(range(nparts), 2):
+        while canonicalize._extract_epr_once(ctx, i, j):
+            check()
+
+
+def test_extraction_starts_from_validation_echelon(monkeypatch):
+    # _Extraction takes the rows validation kept and eliminates nothing; a
+    # single phase on a part whose subgroup is trivial holds nothing, while
+    # one on a part with local elements holds its qudits on every step
+    import qstab.canonicalize as canonicalize
+    from qstab import linalg
+    from qstab.pauli import to_row
+    from qstab.stabilizer import reduce_generators
+
+    n = 24
+    s = random_state(3, n, 5)
+    parts = tuple(tuple(range(i, n, 3)) for i in range(3))
+    assert all(not subgroup_on_part(s, part).gens for part in parts)
+    expected = [to_row(g) for g in reduce_generators(3, list(s.gens), n)]
+    real_echelon = linalg.echelon
+    echelons, holds = [], []
+    real_hold = canonicalize._Extraction.hold
+    monkeypatch.setattr(linalg, "echelon",
+                        lambda *a: echelons.append(a) or real_echelon(*a))
+    monkeypatch.setattr(canonicalize._Extraction, "hold",
+                        lambda self, q: holds.append(q) or real_hold(self, q))
+    ctx = canonicalize._Extraction(s, canonicalize.Partition(n, parts))
+    assert echelons == [] and ctx.rows == expected
+    for i in range(3):
+        assert not canonicalize._extract_single_once(ctx, i)
+    assert holds == []
+
+    s = plus_state_group(3, 4)
+    ctx = canonicalize._Extraction(s, canonicalize.Partition(4, ((0, 1), (2, 3))))
+    while canonicalize._extract_single_once(ctx, 0):
+        pass
+    assert ctx.singles == [(0, 0), (1, 0)] and len(holds) == 2
 
 
 def _tampered(nf, how, rng):

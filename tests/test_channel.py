@@ -73,6 +73,21 @@ def test_choi_of_identity_like_code_maximally_entangled():
         assert oracle.schmidt_rank(v, [0], d, 2) == d
 
 
+def test_choi_builds_one_group_and_no_subgroup(monkeypatch):
+    # the graph generators are read without a graph group, and the input
+    # marginal comes from a rank, not from a subgroup
+    from qstab import stabilizer
+
+    code = make_code(3, 12, 4, 1)
+    builds = []
+    real_init = stabilizer.StabilizerGroup.__post_init__
+    monkeypatch.setattr(stabilizer.StabilizerGroup, "__post_init__",
+                        lambda self: builds.append(self) or real_init(self))
+    monkeypatch.setattr(stabilizer, "subgroup_on_part", None)
+    choi = code_to_choi_state(code)
+    assert builds == [choi] and choi.is_state()
+
+
 def test_choi_input_marginal_dense():
     code = CodeSpec(5, 1, 2, PENTAGON,
                     (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))

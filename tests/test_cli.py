@@ -226,6 +226,40 @@ def test_leading_empty_part(tmp_path, capsys):
     assert "part 1 -" in out and "m_BC 1" in out
 
 
+@pytest.mark.parametrize("parts, message", [
+    ("1,2/3,5", "qudit 5 outside register of size 4"),
+    ("1,2/2,3,4", "qudit 2 appears twice in --parts"),
+    ("1,2/3", "qudits [4] not covered by --parts"),
+])
+def test_parts_errors_name_one_based_qudits(tmp_path, capsys, parts, message):
+    from qstab import formats
+    from qstab.randgen import random_state
+
+    state = tmp_path / "s.stab"
+    state.write_text(formats.render_stabilizer(random_state(3, 4, 1)))
+    rc, out, err = run_cli(["canonicalize", "--state", str(state),
+                            "--parts", parts], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"ShapeMismatch: {message}\n"
+
+
+@pytest.mark.parametrize("b, c, message", [
+    ("1,5", "2,3,4", "qudit 5 outside register of size 4"),
+    ("1,2", "2,3,4", "qudit 2 appears twice in --B and --C"),
+    ("1,1", "2,3,4", "qudit 1 appears twice in --B and --C"),
+    ("1,2", "3", "qudits [4] not covered by --B and --C"),
+])
+def test_channel_side_errors_name_one_based_qudits(tmp_path, capsys, b, c,
+                                                   message):
+    code = tmp_path / "c.code"
+    assert main(["random-code", "--D", "3", "--n", "4", "--k", "1",
+                 "--seed", "1", "--out", str(code)]) == 0
+    rc, out, err = run_cli(["channel", "--code", str(code), "--B", b,
+                            "--C", c], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"ShapeMismatch: {message}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["canonicalize"])

@@ -14,7 +14,6 @@ from qstab.pauli import (
     from_text,
     identity,
     inverse,
-    is_identity_on,
     multiply,
     order,
     phase_op,
@@ -25,6 +24,8 @@ from qstab.pauli import (
     x_op,
     z_op,
 )
+
+from group_helpers import is_identity_on
 
 
 def random_pauli(rng, d, n, with_phase=True):

@@ -13,13 +13,13 @@ from qstab.errors import (
     NotAState,
     NotSquarefree,
 )
+from qstab.modring import factorize
 from qstab.pauli import (
     PauliProduct,
     from_exponents,
-    is_identity_on,
     multiply,
     power,
-    restrict,
+    to_row,
     x_op,
     z_op,
 )
@@ -33,12 +33,13 @@ from qstab.stabilizer import (
     from_graph,
     ghz_group,
     groups_equal,
-    member,
     plus_state_group,
+    reduce_generators,
     reduced_rank,
     subgroup_on_part,
-    tensor_groups,
 )
+
+from group_helpers import is_identity_on, member, restrict, tensor_groups
 
 
 def eq100_s1(d):
@@ -202,6 +203,39 @@ def test_subgroup_on_part_vs_brute_force(d, n, seed, rng):
     sub = subgroup_on_part(s, part)
     assert {str(el) for el in elements(sub)} == brute
     assert len(brute) == sub.size
+
+
+ALL_D = [2, 3, 5, 7, 11, 1009, 2**31 - 1, 6, 10, 15, 30]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALL_D), st.integers(0, 8),
+       st.randoms(use_true_random=False))
+def test_reduced_rank_identity_matches_subgroup(d, n, rng):
+    # rank(rho_A) from 2|A| - rank(S|_A) per prime equals D^|A| / |S_A| with
+    # S_A built by elimination, for empty, random and whole-register parts
+    s = random_state(d, n, rng.randrange(2**32))
+    for part in ([], [q for q in range(n) if rng.random() < 0.5],
+                 list(range(n))):
+        sub = subgroup_on_part(s, part)
+        assert reduced_rank(s, part) == d ** len(part) // sub.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALL_D), st.integers(0, 8),
+       st.randoms(use_true_random=False))
+def test_validation_keeps_the_canonical_echelon(d, n, rng):
+    # at prime D the rows validation kept are reduce_generators' output, for
+    # states and for subgroups given by a shuffled part of their generators
+    s = random_state(d, n, rng.randrange(2**32))
+    gens = list(s.gens)
+    rng.shuffle(gens)
+    for group in (s, StabilizerGroup(d, n, tuple(gens[:rng.randint(0, n)]))):
+        if factorize(d).is_prime:
+            reduced = reduce_generators(d, list(group.gens), n)
+            assert list(group._canonical_rows) == [to_row(g) for g in reduced]
+        else:
+            assert group._canonical_rows is None
 
 
 def test_out_of_range_qudits_raise():
