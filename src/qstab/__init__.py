@@ -24,7 +24,6 @@ from .channel import (
     centralizer_in_pauli,
     code_to_choi_state,
     graph_choi_to_code,
-    info_group,
     verify_duality,
 )
 from .clifford import Gate, conjugate, inverse_gates, pivot_to_x1
@@ -50,7 +49,7 @@ __all__ = [
     "conjugate", "crt_combine", "decompose_group", "decompose_state",
     "epr_group", "extract_epr_pair", "extract_ghz", "extract_unentangled",
     "factorize", "from_graph", "ghz_group", "graph_choi_to_code",
-    "info_group", "inv_mod", "inverse_gates", "is_exact", "pivot_to_x1",
+    "inv_mod", "inverse_gates", "is_exact", "pivot_to_x1",
     "reduced_rank", "split_generator", "split_pauli", "subgroup_on_part",
     "tripartition_normal_form", "verify_duality",
 ]

@@ -48,13 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
-from .clifford import (
-    Gate,
-    conjugate_rows,
-    pauli_x,
-    pauli_z,
-    pivot_part_gates,
-)
+from .clifford import Gate, conjugate_rows, phase_fix, pivot_part_gates
 from .crt import decompose_state
 from .errors import (
     InternalInvariant,
@@ -70,6 +64,7 @@ from .stabilizer import (
     StabilizerGroup,
     epr_pair_generators,
     ghz_generators,
+    part_rank,
     qudit_columns,
     rows_on_part,
 )
@@ -232,11 +227,10 @@ class _Extraction:
     def trivial_on(self, qudits) -> bool:
         """No active element but I is trivial off A = `qudits`: the active
         state is pure, so that subgroup has dimension 2|A| minus the rank of
-        the rows on A's 2|A| columns (eliminated as column vectors)."""
-        columns = qudit_columns(self.n, qudits)
-        return len(columns) <= len(self.rows) and linalg.rank(
-            [[row[c] for row in self.rows] for c in columns],
-            self.d) == len(columns)
+        the rows on A's 2|A| columns."""
+        width = 2 * len(qudits)
+        return width <= len(self.rows) and part_rank(
+            self.rows, self.n, qudits, self.d) == width
 
     def canonical(self) -> list[list[int]]:
         """Hold every active qudit: the canonical natural-order rows."""
@@ -297,24 +291,15 @@ class _Extraction:
     def strip_phase(self, part_idx: int, tracked: list[list[int]],
                     which: int, qudit: int, use_x: bool) -> list[list[int]]:
         """Remove the residual omega power of tracked[which] via a Pauli
-        conjugation at `qudit` (conj by X^a adds 2 a z to gamma; Z^b, -2 b x).
+        conjugation at `qudit` (clifford.phase_fix).
 
         Every tracked element rides through the same gate: a Pauli conjugation
         can rephase any element with support at `qudit`.
         """
-        element = tracked[which]
-        if element[0] % 2 != 0:
+        if tracked[which][0] % 2 != 0:
             raise InternalInvariant("element has odd phase; p^D != I")
-        c = element[0] // 2
-        if c == 0:
-            return tracked
-        if use_x:
-            a = (-c * inv_mod(element[1 + self.n + qudit], self.d)) % self.d
-            gate = pauli_x(qudit, a)
-        else:
-            b = (c * inv_mod(element[1 + qudit], self.d)) % self.d
-            gate = pauli_z(qudit, b)
-        return self.apply(part_idx, [gate], tracked)
+        fix = phase_fix(tracked[which], qudit, use_x, self.d)
+        return self.apply(part_idx, fix, tracked) if fix else tracked
 
 
 def _comm_on(p: list[int], q: list[int], qudits, n: int, d: int) -> int:
@@ -597,16 +582,13 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
                                     tuple(part_c)))
     ctx = _Extraction(group, partition)
     for pi in range(3):
-        if not ctx.trivial_on(ctx.active_qudits(pi)):
+        if _extract_single_once(ctx, pi):
             raise PreconditionViolated(
                 f"part {pi} still carries an unentangled subsystem")
     for pi, pj in itertools.combinations(range(3), 2):
-        ax = ctx.active_qudits(pi)
-        sub = ctx.on_part(ax + ctx.active_qudits(pj))
-        for a, b in itertools.combinations(sub, 2):
-            if _comm_on(a, b, ax, ctx.n, ctx.d) != 0:
-                raise PreconditionViolated(
-                    f"pairwise EPR extraction incomplete between parts {pi} and {pj}")
+        if _extract_epr_once(ctx, pi, pj):
+            raise PreconditionViolated(
+                f"pairwise EPR extraction incomplete between parts {pi} and {pj}")
     if not _extract_ghz_once(ctx):
         return None
     qa, qb, qc = ctx.triples[0]

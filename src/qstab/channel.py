@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .canonicalize import NormalForm, check_cover, tripartition_normal_form
-from .clifford import Gate, conjugate, cphase, inverse_gates
+from .clifford import conjugate, cphase, inverse_gates
 from .errors import (
     InternalInvariant,
     InvalidCode,
@@ -141,37 +141,33 @@ def graph_choi_to_code(adj: GraphAdjacency, k: int,
 
 @dataclass(frozen=True)
 class ChannelAnalysis:
-    """Decomposition counts, capacities, and subset information groups."""
+    """The Choi state, its normal form with parts (inputs, B, C), and the
+    subset information groups. The normal form's counts give the
+    capacities, and its circuits[0] is the input-side unitary."""
 
     code: CodeSpec
     out_b: tuple[int, ...]
     out_c: tuple[int, ...]
+    choi: StabilizerGroup
     normal_form: NormalForm
-    m_abc: int
-    m_ab: int
-    m_ac: int
-    m_bc: int
-    m_b: int
-    m_c: int
     info_b: tuple[PauliProduct, ...]
     info_c: tuple[PauliProduct, ...]
-    input_gates: tuple[Gate, ...]
 
     @property
     def q_b(self) -> int:
-        return self.m_ab
+        return self.normal_form.m_ab
 
     @property
     def c_b(self) -> int:
-        return self.m_ab + self.m_abc
+        return self.normal_form.m_ab + self.normal_form.m_abc
 
     @property
     def q_c(self) -> int:
-        return self.m_ac
+        return self.normal_form.m_ac
 
     @property
     def c_c(self) -> int:
-        return self.m_ac + self.m_abc
+        return self.normal_form.m_ac + self.normal_form.m_abc
 
     def bits(self, count: int) -> float:
         return count * math.log2(self.code.d)
@@ -199,13 +195,8 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
     if nf.m_abc + nf.m_ab + nf.m_ac != k:
         raise InternalInvariant("input qudits not fully consumed")
     info_b, info_c = _info_groups(code.d, k, nf)
-    return ChannelAnalysis(
-        code=code, out_b=out_b, out_c=out_c, normal_form=nf,
-        m_abc=nf.m_abc, m_ab=nf.m_ab, m_ac=nf.m_ac, m_bc=nf.m_bc,
-        m_b=nf.m_b, m_c=nf.m_c,
-        info_b=info_b, info_c=info_c,
-        input_gates=nf.circuits[0],
-    )
+    return ChannelAnalysis(code=code, out_b=out_b, out_c=out_c, choi=choi,
+                           normal_form=nf, info_b=info_b, info_c=info_c)
 
 
 def _info_groups(d: int, k: int,
@@ -227,14 +218,6 @@ def _info_groups(d: int, k: int,
     info_b += [z_op(d, k, q) for q in ghz]
     info_c += [z_op(d, k, q) for q in ghz]
     return tuple(info_b), tuple(info_c)
-
-
-def info_group(analysis: ChannelAnalysis, side: str) -> tuple[PauliProduct, ...]:
-    if side == "B":
-        return analysis.info_b
-    if side == "C":
-        return analysis.info_c
-    raise ShapeMismatch(f"side must be 'B' or 'C', got {side!r}")
 
 
 def centralizer_in_pauli(gens, d: int, k: int) -> tuple[PauliProduct, ...]:
@@ -288,5 +271,5 @@ def to_original_input_basis(analysis: ChannelAnalysis,
     if p.n != analysis.code.k:
         raise ShapeMismatch("operator must live on the k input qudits")
     # W acts on the inputs, qudits 0..k-1 of the Choi register, alone
-    inv = inverse_gates(analysis.input_gates, analysis.code.d)
+    inv = inverse_gates(analysis.normal_form.circuits[0], analysis.code.d)
     return transpose_pauli(conjugate(inv, transpose_pauli(p)))

@@ -20,7 +20,7 @@ from .canonicalize import (
     check_cover,
     tripartition_normal_form,
 )
-from .channel import CodeSpec, analyze_channel, code_to_choi_state
+from .channel import CodeSpec, analyze_channel
 from .crt import decompose_state
 from .errors import QstabError
 
@@ -89,8 +89,8 @@ def _cmd_channel(args) -> int:
     if args.verify:
         verify.require_all(verify.verify_channel_analysis(analysis))
     if args.emit_choi:
-        choi = code_to_choi_state(code)
-        Path(args.emit_choi).write_text(formats.render_stabilizer(choi))
+        Path(args.emit_choi).write_text(
+            formats.render_stabilizer(analysis.choi))
     report = formats.report_from_analysis(analysis, bounds=args.bounds)
     _emit(formats.render_channel_report(report), args.out)
     return 0
@@ -111,8 +111,10 @@ def _cmd_oracle_verify(args) -> int:
         code = formats.parse_code(Path(args.code).read_text())
         rep = formats.parse_channel_report(report_text)
         analysis = analyze_channel(code, rep.out_b, rep.out_c)
-        fresh = formats.report_from_analysis(analysis, bounds=rep.bounds)
-        checks = [("report-reproduced", fresh == rep)]
+        fresh = formats.render_channel_report(
+            formats.report_from_analysis(analysis, bounds=rep.bounds))
+        # token for token, so the capacity lines the parser skips count too
+        checks = [("report-reproduced", fresh.split() == report_text.split())]
         checks.extend(verify.verify_channel_analysis(analysis))
     else:
         raise QstabError(f"cannot verify a {kind!r} file")

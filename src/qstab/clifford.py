@@ -4,9 +4,10 @@ A Clifford is the ordered list of elementary gates that applies it, so every
 canonicalization result is a human-auditable circuit. conjugate_rows replays
 the list once over a batch of [gamma, x, z] rows: each gate rewrites only its
 one or two columns (and the phases) in every row, as in CHP tableaux;
-conjugate_all wraps it for Pauli products. pivot_part_gates writes the word
+conjugate wraps it for one Pauli product. pivot_part_gates writes the word
 that pivots a row onto one qudit in closed form, from the row's exponents on
-the part. The gate alphabet:
+the part, and phase_fix the Pauli gate that clears what phase is left. The
+gate alphabet:
 
     F q        Fourier gate:        Z -> X,  X -> Z^{-1}
     S q a      multiplicative gate: Z -> Z^a, X -> X^{a^{-1}}   (a invertible)
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .modring import inv_mod, is_prime, sqrt_mod
 from .pauli import PauliProduct, from_row, to_row, x_op, z_op
+from .stabilizer import checked_part
 
 GATE_NAMES = ("F", "S", "W", "X", "Z", "CP", "CNOT")
 
@@ -147,27 +149,22 @@ def conjugate_rows(gates, rows, d: int) -> list[list[int]]:
     return out
 
 
-def conjugate_all(gates, paulis) -> tuple[PauliProduct, ...]:
-    """U p U^dag for every p in `paulis` (one shape), where the circuit U
-    applies `gates` in list order; exact in gamma (see conjugate_rows)."""
-    paulis = tuple(paulis)
-    if not paulis:
-        return ()
-    d, n = paulis[0].d, paulis[0].n
-    if any(p.d != d or p.n != n for p in paulis):
-        raise ShapeMismatch("conjugated Pauli products differ in shape")
-    return tuple(from_row(d, row)
-                 for row in conjugate_rows(gates, map(to_row, paulis), d))
-
-
-def gate_conjugate(gate: Gate, p: PauliProduct) -> PauliProduct:
-    """Image of p under conjugation by the gate's unitary, exact in gamma."""
-    return conjugate_all([gate], [p])[0]
-
-
 def conjugate(gates, p: PauliProduct) -> PauliProduct:
     """U p U^dag for the circuit U that applies `gates` in list order."""
-    return conjugate_all(gates, [p])[0]
+    return from_row(p.d, conjugate_rows(gates, [to_row(p)], p.d)[0])
+
+
+def phase_fix(row: list[int], q: int, use_x: bool, d: int) -> list[Gate]:
+    """The X (use_x) or Z gate at qudit q clearing the even phase of the
+    [gamma, x, z] row, or none when it is 0: conjugating by X^a adds 2 a z_q
+    to gamma, and conjugating by Z^b subtracts 2 b x_q."""
+    c = row[0] // 2
+    if not c:
+        return []
+    n = len(row) // 2
+    if use_x:
+        return [pauli_x(q, -c * inv_mod(row[1 + n + q], d) % d)]
+    return [pauli_z(q, c * inv_mod(row[1 + q], d) % d)]
 
 
 def _square_shear(q: int, r: int, d: int) -> list[Gate]:
@@ -209,13 +206,9 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
         # word fixes X_q and Z_q up to even powers of lambda, which trailing
         # Z and X powers remove
         word = [smult(q, d - 1), fourier(q), gate, fourier(q), gate, fourier(q)]
-        gx = conjugate([gate] + word, x_op(d, q + 1, q)).gamma
-        gz = conjugate([gate] + word, z_op(d, q + 1, q)).gamma
-        if gx:
-            word.append(pauli_z(q, gx // 2))      # conj by Z^b: gamma -= 2 b x
-        if gz:
-            word.append(pauli_x(q, -gz // 2 % d))  # conj by X^a: gamma += 2 a z
-        return word
+        x_row, z_row = conjugate_rows(
+            [gate] + word, [to_row(op(d, q + 1, q)) for op in (x_op, z_op)], d)
+        return word + phase_fix(x_row, q, False, d) + phase_fix(z_row, q, True, d)
     if gate.name == "X":
         return [pauli_x(gate.qudits[0], (-gate.param) % d)]
     if gate.name == "Z":
@@ -231,15 +224,6 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
 def inverse_gates(gates, d: int) -> tuple[Gate, ...]:
     """Circuit of U^{-1}: the gates reversed, each one inverted."""
     return tuple(inv for g in reversed(gates) for inv in _inverse_gate(g, d))
-
-
-def _checked_part(part, n: int) -> list[int]:
-    """`part` sorted without repeats; IndexOutOfRange outside [0, n)."""
-    part = sorted(set(part))
-    bad = [q for q in part if not 0 <= q < n]
-    if bad:
-        raise IndexOutOfRange(f"qudits {bad} outside register of size {n}")
-    return part
 
 
 def _step_gates(x: int, z: int, q: int, d: int) -> list[Gate]:
@@ -269,7 +253,7 @@ def pivot_part_gates(row: list[int], part, target: int, form: str,
     if not is_prime(d):
         raise NonPrimeD(f"pivoting needs prime D, got {d}")
     n = len(row) // 2
-    part = _checked_part(part, n)
+    part = checked_part(part, n)
     if target not in part:
         raise IndexOutOfRange(f"target {target} not in part {part}")
     comp = {q: (row[1 + q] % d, row[1 + n + q] % d) for q in part}
@@ -302,7 +286,7 @@ def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
     Requires prime D, p supported inside `part`, and p^D = I so the residual
     phase is an omega power removable by trailing Pauli conjugations.
     """
-    part = _checked_part(part, p.n)
+    part = checked_part(part, p.n)
     support = [i for i in part if p.x[i] or p.z[i]]
     if not support:
         raise IdentityOnPart("operator is trivial on the given part")
@@ -312,15 +296,10 @@ def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
     target = support[0] if target is None else target
     gates = pivot_part_gates(to_row(p), part, target, "Z" if want_z else "X",
                              p.d)
-    moved = conjugate(gates, p)
-    if moved.gamma % 2 != 0:
+    (moved,) = conjugate_rows(gates, [to_row(p)], p.d)
+    if moved[0] % 2 != 0:
         raise InvalidStabilizer("operator has p^D = -I; phase not removable")
     expected = (z_op(p.d, p.n, target) if want_z else x_op(p.d, p.n, target))
-    if (moved.x, moved.z) != (expected.x, expected.z):
+    if moved[1:] != to_row(expected)[1:]:
         raise InvalidStabilizer("pivot failed to normalize the operator")
-    c = moved.gamma // 2
-    if c:
-        # the exponent left is 1: conj by X^a adds 2 a z to gamma, Z^b -2 b x
-        gates.append(pauli_x(target, -c % p.d) if want_z
-                     else pauli_z(target, c % p.d))
-    return tuple(gates)
+    return tuple(gates + phase_fix(moved, target, want_z, p.d))

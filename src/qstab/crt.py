@@ -12,34 +12,11 @@ component each. Composite dimensions decompose by recursive binary splitting
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InternalInvariant, InvalidStabilizer, NotAState
 from .modring import CrtSplit, factorize, inv_mod, make_split
 from .pauli import PauliProduct, order, power
 from .stabilizer import StabilizerGroup
-
-
-@dataclass(frozen=True)
-class GeneratorSplitData:
-    """Order bookkeeping for splitting one generator across a coprime split."""
-
-    delta: int
-    delta1: int
-    delta2: int
-    mu1: int
-    mu2: int
-
-
-def generator_split_data(g: PauliProduct, split: CrtSplit) -> GeneratorSplitData:
-    delta = order(g)
-    delta1 = math.gcd(delta, split.d1)
-    delta2 = math.gcd(delta, split.d2)
-    if delta1 * delta2 != delta:
-        raise InternalInvariant("order does not factor over the coprime split")
-    mu1 = inv_mod(delta2 % delta1, delta1) if delta1 > 1 else 0
-    mu2 = inv_mod(delta1 % delta2, delta2) if delta2 > 1 else 0
-    return GeneratorSplitData(delta, delta1, delta2, mu1, mu2)
 
 
 def split_pauli(p: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliProduct]:
@@ -74,12 +51,17 @@ def split_generator(g: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, Pau
     Requires g^order(g) = I; the delta-coprime powers land entirely on one
     component each, so the scalar is always expressible there.
     """
-    if not power(g, order(g)).is_identity():
+    delta = order(g)
+    if not power(g, delta).is_identity():
         raise InvalidStabilizer("generator does not satisfy g^order(g) = I")
-    data = generator_split_data(g, split)
-    h1 = _one_sided(power(g, data.mu1 * data.delta2), split, 1)
-    h2 = _one_sided(power(g, data.mu2 * data.delta1), split, 2)
-    if order(h1) != data.delta1 or order(h2) != data.delta2:
+    delta1, delta2 = math.gcd(delta, split.d1), math.gcd(delta, split.d2)
+    if delta1 * delta2 != delta:
+        raise InternalInvariant("order does not factor over the coprime split")
+    mu1 = inv_mod(delta2 % delta1, delta1) if delta1 > 1 else 0
+    mu2 = inv_mod(delta1 % delta2, delta2) if delta2 > 1 else 0
+    h1 = _one_sided(power(g, mu1 * delta2), split, 1)
+    h2 = _one_sided(power(g, mu2 * delta1), split, 2)
+    if order(h1) != delta1 or order(h2) != delta2:
         raise InternalInvariant("component orders do not match the order split")
     return h1, h2
 

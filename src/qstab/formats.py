@@ -370,13 +370,14 @@ class ChannelReport:
 
 def report_from_analysis(analysis: ChannelAnalysis,
                          bounds: bool = False) -> ChannelReport:
+    nf = analysis.normal_form
     return ChannelReport(
         d=analysis.code.d, n=analysis.code.n, k=analysis.code.k,
         out_b=analysis.out_b, out_c=analysis.out_c,
-        m_abc=analysis.m_abc, m_ab=analysis.m_ab, m_ac=analysis.m_ac,
-        m_bc=analysis.m_bc, m_b=analysis.m_b, m_c=analysis.m_c,
+        m_abc=nf.m_abc, m_ab=nf.m_ab, m_ac=nf.m_ac,
+        m_bc=nf.m_bc, m_b=nf.m_b, m_c=nf.m_c,
         info_b=analysis.info_b, info_c=analysis.info_c,
-        input_gates=analysis.input_gates,
+        input_gates=nf.circuits[0],
         bounds=bounds,
     )
 

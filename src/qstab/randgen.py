@@ -15,8 +15,8 @@ import random
 from .clifford import (
     Gate,
     cnot,
+    conjugate_rows,
     cphase,
-    conjugate_all,
     fourier,
     pauli_x,
     pauli_z,
@@ -24,7 +24,7 @@ from .clifford import (
     smult,
 )
 from .errors import InvalidCode, NonPrimeD
-from .pauli import PauliProduct, from_exponents
+from .pauli import PauliProduct, from_exponents, from_row, to_row
 from .stabilizer import GraphAdjacency, StabilizerGroup, from_graph
 from . import linalg
 from .modring import factorize
@@ -83,7 +83,9 @@ def random_part_gates(d: int, qudits, rng: random.Random,
 
 
 def scramble_group(group: StabilizerGroup, gates) -> StabilizerGroup:
-    return StabilizerGroup(group.d, group.n, conjugate_all(gates, group.gens))
+    rows = conjugate_rows(gates, map(to_row, group.gens), group.d)
+    return StabilizerGroup(group.d, group.n,
+                           tuple(from_row(group.d, row) for row in rows))
 
 
 def random_state(d: int, n: int, seed: int) -> StabilizerGroup:

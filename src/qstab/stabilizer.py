@@ -191,22 +191,30 @@ def rows_on_part(rows: list[list[int]], n: int, part, p: int,
                                  p, d)[0]
 
 
-def _checked_part(part, n: int) -> set[int]:
-    part_set = set(part)
-    bad = sorted(q for q in part_set if not 0 <= q < n)
+def checked_part(part, n: int) -> list[int]:
+    """`part` sorted without repeats; IndexOutOfRange outside [0, n)."""
+    part = sorted(set(part))
+    bad = [q for q in part if not 0 <= q < n]
     if bad:
         raise IndexOutOfRange(f"qudits {bad} outside register of size {n}")
-    return part_set
+    return part
+
+
+def part_rank(rows: list[list[int]], n: int, part, p: int) -> int:
+    """Rank mod p of the rows restricted to the columns of the distinct
+    qudits `part`, eliminated as column vectors."""
+    return linalg.rank([[row[c] for row in rows]
+                        for c in qudit_columns(n, part)], p)
 
 
 def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:
     """Subgroup of elements acting as the identity off `part`, per prime
     factor from the Sylow rows (canonical generators)."""
-    part_set = _checked_part(part, group.n)
+    part = checked_part(part, group.n)
     gens = []
     for p in factorize(group.d).primes:
         rows = rows_on_part(_sylow_rows(group.gens, p, group.d), group.n,
-                            part_set, p, group.d)[1]
+                            part, p, group.d)[1]
         gens.extend(from_row(group.d, row) for row in rows)
     return StabilizerGroup(group.d, group.n, tuple(gens))
 
@@ -221,13 +229,11 @@ def reduced_rank(group: StabilizerGroup, part) -> int:
     """
     if not group.is_state():
         raise NotAState(f"group size {group.size} != D^n")
-    part_set = _checked_part(part, group.n)
-    columns = qudit_columns(group.n, part_set)
+    part = checked_part(part, group.n)
     out = 1
     for p in factorize(group.d).primes:
         rows = _sylow_rows(group.gens, p, group.d)
-        out *= p ** (linalg.rank([[row[c] for row in rows] for c in columns], p)
-                     - len(part_set))
+        out *= p ** (part_rank(rows, group.n, part, p) - len(part))
     return out
 
 

@@ -8,6 +8,8 @@ the desk-scale cap.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import linalg, oracle
 from .canonicalize import NormalForm, is_exact
 from .channel import ChannelAnalysis, to_original_input_basis, verify_duality
@@ -19,11 +21,21 @@ Check = tuple[str, bool]
 
 
 def _qudit_conservation(nf: NormalForm) -> bool:
-    sizes = [len(p) for p in nf.parts] + [0] * (3 - len(nf.parts))
-    use_a = nf.m_ab + nf.m_ac + nf.m_abc + nf.m_a
-    use_b = nf.m_ab + nf.m_bc + nf.m_abc + nf.m_b
-    use_c = nf.m_ac + nf.m_bc + nf.m_abc + nf.m_c
-    return (use_a, use_b, use_c) == tuple(sizes)
+    """The counts use up each part's qudits, equal the tally of the role
+    table (singles, pairs and triples), and every role's qudits lie in the
+    parts it names."""
+    parts = [set(p) for p in nf.parts] + [set()] * (3 - len(nf.parts))
+    roles = ([((pi,), (q,)) for q, pi in nf.singles]
+             + [((pi, pj), (qx, qy)) for pi, pj, qx, qy in nf.pairs]
+             + [((0, 1, 2), triple) for triple in nf.triples])
+    if not all(0 <= i < 3 and q in parts[i]
+               for names, qudits in roles for i, q in zip(names, qudits)):
+        return False
+    tally = Counter("m_" + "".join("ABC"[i] for i in names)
+                    for names, _ in roles)
+    return (tally == Counter({k: m for k, m in nf.counts.items() if m})
+            and all(sum(m for key, m in nf.counts.items() if tag in key[2:])
+                    == len(part) for tag, part in zip("ABC", parts)))
 
 
 def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
@@ -38,10 +50,12 @@ def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
             for field in ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc",
                           "m_abc"))))
         factor_groups = decompose_state(group)
-        ok = True
-        for (p, sub_nf), (p2, sub_group) in zip(nf.factors, factor_groups):
-            ok = ok and p == p2 and is_exact(sub_group, sub_nf)
-        checks.append(("per-factor-exactness", ok))
+        primes = [p for p, _ in factor_groups]
+        checks.append(("per-factor-exactness",
+                       [p for p, _ in nf.factors] == primes and all(
+                           is_exact(sub_group, sub_nf)
+                           for (_, sub_nf), (_, sub_group)
+                           in zip(nf.factors, factor_groups))))
     else:
         checks.append(("qudit-conservation", _qudit_conservation(nf)))
         checks.append(("exactness", is_exact(group, nf)))
@@ -93,10 +107,10 @@ def verify_crt_decomposition(group: StabilizerGroup) -> list[Check]:
 
 def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
     """Re-check a channel analysis: consumption, duality, brute-force group."""
-    code = analysis.code
+    code, nf = analysis.code, analysis.normal_form
     checks: list[Check] = [
         ("input-consumption",
-         analysis.m_abc + analysis.m_ab + analysis.m_ac == code.k),
+         nf.m_abc + nf.m_ab + nf.m_ac == code.k),
         ("duality", verify_duality(analysis)),
     ]
     if code.d ** (code.n + code.k) <= 1024:

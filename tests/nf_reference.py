@@ -5,9 +5,9 @@ canonicalize.is_exact tests membership in closed form; tests compare it with
 canonical_form(conjugated input) == canonical_form(normal_form_group(nf)).
 """
 
-from qstab.clifford import conjugate_all
+from qstab.clifford import conjugate_rows
 from qstab.errors import InvalidStabilizer
-from qstab.pauli import PauliProduct, x_op
+from qstab.pauli import PauliProduct, from_row, to_row, x_op
 from qstab.stabilizer import (
     StabilizerGroup,
     canonical_form,
@@ -41,6 +41,7 @@ def reference_is_exact(group: StabilizerGroup, nf) -> bool:
     except (InvalidStabilizer, IndexError):
         return False
     gates = [g for circuit in nf.circuits for g in circuit]
-    conjugated = StabilizerGroup(group.d, group.n,
-                                 conjugate_all(gates, group.gens))
+    rows = conjugate_rows(gates, [to_row(g) for g in group.gens], group.d)
+    conjugated = StabilizerGroup(
+        group.d, group.n, tuple(from_row(group.d, row) for row in rows))
     return canonical_form(conjugated) == canonical_form(target)

@@ -20,7 +20,6 @@ from qstab.canonicalize import (
 from qstab.channel import (
     CodeSpec,
     analyze_channel,
-    info_group,
     to_original_input_basis,
     verify_duality,
 )
@@ -224,13 +223,13 @@ def test_07_duality_and_brute_force():
             if d ** (n + k) <= 1024:
                 v_iso = oracle.isometry_from_code(code.graph_group,
                                                   code.coding_gens)
-                for side, keep in (("B", b), ("C", c)):
+                for info, keep in ((an.info_b, b), (an.info_c, c)):
                     brute = oracle.brute_force_info_group(v_iso, keep,
                                                           d, n, k)
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
                     mapped = [to_original_input_basis(an, g)
-                              for g in info_group(an, side)]
+                              for g in info]
                     rows = [list(g.x) + list(g.z) for g in mapped
                             if any(g.x) or any(g.z)]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []

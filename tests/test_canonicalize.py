@@ -427,7 +427,7 @@ def test_extraction_validates_once_and_replays_no_single_gates(monkeypatch):
         parts = [list(range(0, n, 3)), list(range(1, n, 3)), list(range(2, n, 3))]
         with monkeypatch.context() as m:
             m.setattr(StabilizerGroup, "__post_init__", counting_init)
-            m.setattr(clifford, "gate_conjugate", forbidden)
+            m.setattr(clifford, "conjugate", forbidden)
             builds.clear()
             nf = tripartition_normal_form(s, *parts)
             counts[n] = len(builds)

@@ -13,7 +13,6 @@ from qstab.channel import (
     centralizer_in_pauli,
     code_to_choi_state,
     graph_choi_to_code,
-    info_group,
     pauli_groups_equal,
     to_original_input_basis,
     transpose_pauli,
@@ -113,7 +112,8 @@ def test_analyze_identity_code():
 def test_analyze_ghz_code():
     for d in (2, 3, 5):
         an = analyze_channel(ghz_code(d), [0], [1])
-        assert (an.m_abc, an.q_b, an.c_b, an.q_c, an.c_c) == (1, 0, 1, 0, 1)
+        assert an.normal_form.m_abc == 1
+        assert (an.q_b, an.c_b, an.q_c, an.c_c) == (0, 1, 0, 1)
         want = (phase_op(d, 1, 1), z_op(d, 1, 0))
         assert pauli_groups_equal(an.info_b, want, d, 1)
         assert pauli_groups_equal(an.info_c, want, d, 1)
@@ -128,7 +128,7 @@ def test_attached_outputs_leave_direct_channel_unchanged():
         code = CodeSpec(4, 1, d, graph, (z_op(d, 4, 0),))
         an = analyze_channel(code, [0, 1, 3], [2])
         assert (an.q_b, an.c_b) == (1, 1)
-        assert (an.m_bc, an.m_b) == (1, 1)
+        assert (an.normal_form.m_bc, an.normal_form.m_b) == (1, 1)
         assert pauli_groups_equal(
             an.info_b, (phase_op(d, 1, 1), x_op(d, 1, 0), z_op(d, 1, 0)),
             d, 1)
@@ -215,7 +215,7 @@ def test_ghz_as_graph_choi():
     adj = GraphAdjacency.from_edges(3, [(0, 1, 1), (1, 2, 1)])
     code, _ = graph_choi_to_code(adj, 1, d)
     an = analyze_channel(code, [0], [1])
-    assert an.m_abc == 1
+    assert an.normal_form.m_abc == 1
     assert (an.q_b, an.c_b, an.q_c, an.c_c) == (0, 1, 0, 1)
 
 
@@ -255,16 +255,17 @@ def test_random_codes_duality_and_brute_force():
             b, c = random_partition(n, 2, seed + d)
             an = analyze_channel(code, b, c)
             assert verify_duality(an)
-            assert an.m_abc + an.m_ab + an.m_ac == k
+            nf = an.normal_form
+            assert nf.m_abc + nf.m_ab + nf.m_ac == k
             if d ** (n + k) <= 1024:
                 v_iso = oracle.isometry_from_code(code.graph_group,
                                                   code.coding_gens)
-                for side, keep in (("B", b), ("C", c)):
+                for info, keep in ((an.info_b, b), (an.info_c, c)):
                     brute = oracle.brute_force_info_group(v_iso, keep, d, n, k)
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
                     mapped = [to_original_input_basis(an, g)
-                              for g in info_group(an, side)]
+                              for g in info]
                     rows = [list(g.x) + list(g.z) for g in mapped
                             if any(g.x) or any(g.z)]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []

@@ -180,6 +180,96 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
     assert "exactness: MISMATCH" in out
 
 
+def test_oracle_verify_needs_every_prime_factor(tmp_path, capsys):
+    state = tmp_path / "s.stab"
+    run_cli(["random-state", "--D", "6", "--n", "6", "--seed", "2",
+             "--out", str(state)], capsys)
+    report = tmp_path / "s.nf"
+    run_cli(["canonicalize", "--state", str(state), "--parts", "1,2/3,4/5,6",
+             "--out", str(report)], capsys)
+    text = report.read_text()
+    start = text.index("factor 3\n")
+    end = text.index("end-factor\n", start) + len("end-factor\n")
+    report.write_text(text[:start] + text[end:])
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(state)], capsys)
+    assert rc == 1
+    assert "per-factor-exactness: MISMATCH" in out
+
+
+@pytest.mark.parametrize("edit", [
+    # counts changed consistently with the part sizes, above the dense cap
+    {"m_A 1": "m_A 2", "m_AB 2": "m_AB 1", "m_AC 1": "m_AC 0",
+     "m_ABC 0": "m_ABC 1"},
+    # a pair whose qudits swap parts, and a single named in the wrong part
+    {"pair 1 3 4 8": "pair 1 3 8 4"},
+    {"single 1 1": "single 1 2"},
+])
+def test_oracle_verify_checks_counts_against_roles(tmp_path, capsys, edit):
+    state = tmp_path / "s.stab"
+    run_cli(["random-state", "--D", "3", "--n", "9", "--seed", "4",
+             "--out", str(state)], capsys)
+    report = tmp_path / "s.nf"
+    run_cli(["canonicalize", "--state", str(state),
+             "--parts", "1,2,3,4/5,6,7/8,9", "--out", str(report)], capsys)
+    lines = report.read_text().splitlines()
+    assert all(old in lines for old in edit)
+    report.write_text("\n".join(edit.get(ln, ln) for ln in lines) + "\n")
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(state)], capsys)
+    assert rc == 1
+    assert "qudit-conservation: MISMATCH" in out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("Q_B = 0 ", "Q_B = 99 "),
+    ("C_C = 1.584962500721156 ", "C_C = 7 "),
+    ("Q_B ", "Q_X "),
+])
+def test_oracle_verify_checks_capacity_lines(tmp_path, capsys, old, new):
+    code = tmp_path / "c.code"
+    run_cli(["random-code", "--D", "3", "--n", "4", "--k", "1", "--seed", "3",
+             "--out", str(code)], capsys)
+    report = tmp_path / "c.chan"
+    run_cli(["channel", "--code", str(code), "--B", "1,2", "--C", "3,4",
+             "--out", str(report)], capsys)
+    text = report.read_text()
+    assert text.count(old) == 1
+    report.write_text(text.replace(old, new))
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--code", str(code)], capsys)
+    assert rc == 1
+    assert "report-reproduced: MISMATCH" in out
+
+
+def test_channel_emit_choi_builds_the_choi_state_once(tmp_path, capsys,
+                                                      monkeypatch):
+    from qstab import channel, cli, formats
+    from qstab.randgen import random_code
+
+    real = channel.code_to_choi_state
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    # wherever the function is bound
+    for module in (channel, cli):
+        monkeypatch.setattr(module, "code_to_choi_state", counting,
+                            raising=False)
+    graph, coding = random_code(3, 6, 2, 5)
+    code = channel.CodeSpec(6, 2, 3, graph, tuple(coding))
+    code_file = tmp_path / "c.code"
+    code_file.write_text(formats.render_code(code))
+    choi_file = tmp_path / "c.choi"
+    rc, _, _ = run_cli(["channel", "--code", str(code_file), "--B", "1,2,3",
+                        "--C", "4,5,6", "--emit-choi", str(choi_file)], capsys)
+    assert rc == 0
+    assert len(calls) == 1
+    assert choi_file.read_text() == formats.render_stabilizer(real(code))
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     from qstab import formats
     from qstab.stabilizer import ghz_group

@@ -13,11 +13,9 @@ from qstab.clifford import (
     Gate,
     cnot,
     conjugate,
-    conjugate_all,
     conjugate_rows,
     cphase,
     fourier,
-    gate_conjugate,
     inverse_gates,
     pauli_x,
     pauli_z,
@@ -32,6 +30,7 @@ from qstab.errors import (IdentityOnPart, IndexOutOfRange, NonPrimeD,
 from qstab.modring import inv_mod
 from qstab.pauli import (
     from_exponents,
+    from_row,
     identity,
     multiply,
     order,
@@ -101,15 +100,15 @@ def test_fourier_table_rows():
     for d in (2, 3, 4, 5, 6):
         z = z_op(d, 1, 0)
         x = x_op(d, 1, 0)
-        assert gate_conjugate(fourier(0), z) == x
-        assert gate_conjugate(fourier(0), x) == z_op(d, 1, 0, d - 1)
+        assert conjugate([fourier(0)], z) == x
+        assert conjugate([fourier(0)], x) == z_op(d, 1, 0, d - 1)
 
 
 def test_smult_table_rows():
     for d, alpha in ((3, 2), (5, 3), (7, 4)):
         abar = inv_mod(alpha, d)
-        assert gate_conjugate(smult(0, alpha), z_op(d, 1, 0)) == z_op(d, 1, 0, alpha)
-        assert gate_conjugate(smult(0, alpha), x_op(d, 1, 0)) == x_op(d, 1, 0, abar)
+        assert conjugate([smult(0, alpha)], z_op(d, 1, 0)) == z_op(d, 1, 0, alpha)
+        assert conjugate([smult(0, alpha)], x_op(d, 1, 0)) == x_op(d, 1, 0, abar)
 
 
 def test_smult_rejects_non_invertible():
@@ -119,13 +118,13 @@ def test_smult_rejects_non_invertible():
 
 def test_phase_w_table_rows():
     for d in (3, 5, 7):  # odd: X -> XZ with no extra phase
-        got = gate_conjugate(phase_w(0), x_op(d, 1, 0))
+        got = conjugate([phase_w(0)], x_op(d, 1, 0))
         assert got == from_exponents(d, (1,), (1,), 0)
     for d in (2, 4, 6):  # even: X -> lambda X Z
-        got = gate_conjugate(phase_w(0), x_op(d, 1, 0))
+        got = conjugate([phase_w(0)], x_op(d, 1, 0))
         assert got == from_exponents(d, (1,), (1,), 1)
     for d in (2, 3, 6):
-        assert gate_conjugate(phase_w(0), z_op(d, 1, 0)) == z_op(d, 1, 0)
+        assert conjugate([phase_w(0)], z_op(d, 1, 0)) == z_op(d, 1, 0)
 
 
 def test_cnot_equals_fourier_conjugated_cphase():
@@ -394,10 +393,9 @@ def circuits_and_rows(draw):
 @given(circuits_and_rows())
 def test_batched_conjugation_equals_per_row(case):
     d, n, gates, rows = case
-    batched = conjugate_all(gates, rows)
+    batched = tuple(from_row(d, row) for row in
+                    conjugate_rows(gates, [to_row(p) for p in rows], d))
     assert batched == tuple(reference_conjugate(gates, p) for p in rows)
-    assert conjugate_rows(gates, [to_row(p) for p in rows], d) == [
-        to_row(p) for p in batched]
     assert batched == tuple(conjugate(gates, p) for p in rows)
     if d <= 7:
         u = oracle.clifford_matrix(d, n, gates)
@@ -421,7 +419,7 @@ def reference_pivot_part_gates(p, part, target, form="X"):
     def shoot(gate):
         nonlocal p
         gates.append(gate)
-        p = gate_conjugate(gate, p)
+        p = conjugate([gate], p)
 
     def step(q):
         # turn p's q-component into exactly X_q
