@@ -389,6 +389,15 @@ def _bits_str(count: int, d: int) -> str:
     return repr(bits)
 
 
+def _capacity_lines(d: int, m_ab: int, m_ac: int, m_abc: int,
+                    bounds: bool) -> list[str]:
+    """Q_B, C_B, Q_C, C_C lines: Q = m_AB (m_AC) and C = Q + m_ABC."""
+    rel = ">=" if bounds else "="
+    caps = (("Q_B", m_ab), ("C_B", m_ab + m_abc),
+            ("Q_C", m_ac), ("C_C", m_ac + m_abc))
+    return [f"{tag} {rel} {_bits_str(v, d)} (log2 units)" for tag, v in caps]
+
+
 def render_channel_report(rep: ChannelReport) -> str:
     out = [f"{MAGIC} channel", f"D {rep.d} n {rep.n} k {rep.k}"]
     out.append("B " + (",".join(str(q + 1) for q in rep.out_b) or "-"))
@@ -397,13 +406,8 @@ def render_channel_report(rep: ChannelReport) -> str:
                      ("m_AC", rep.m_ac), ("m_BC", rep.m_bc),
                      ("m_B", rep.m_b), ("m_C", rep.m_c)):
         out.append(f"{key} {val}")
-    q_b, c_b = rep.m_ab, rep.m_ab + rep.m_abc
-    q_c, c_c = rep.m_ac, rep.m_ac + rep.m_abc
-    rel = ">=" if rep.bounds else "="
-    out.append(f"Q_B {rel} {_bits_str(q_b, rep.d)} (log2 units)")
-    out.append(f"C_B {rel} {_bits_str(c_b, rep.d)} (log2 units)")
-    out.append(f"Q_C {rel} {_bits_str(q_c, rep.d)} (log2 units)")
-    out.append(f"C_C {rel} {_bits_str(c_c, rep.d)} (log2 units)")
+    out.extend(_capacity_lines(rep.d, rep.m_ab, rep.m_ac, rep.m_abc,
+                               rep.bounds))
     out.append(f"info_B {len(rep.info_b)}")
     out.extend(to_text(p) for p in rep.info_b)
     out.append(f"info_C {len(rep.info_c)}")
@@ -435,10 +439,13 @@ def parse_channel_report(text: str) -> ChannelReport:
         if toks[0] != key:
             raise FormatError(f"expected '{key} <count>'")
         counts[key] = int(toks[1])
-    bounds = False
-    for _ in range(4):
-        toks = cur.take().split()
-        bounds = toks[1] == ">="
+    caps = [cur.take() for _ in range(4)]
+    # the Q_B line sets the relation; every line must read as rendered
+    bounds = caps[0].split()[1:2] == [">="]
+    for line, want in zip(caps, _capacity_lines(
+            d, counts["m_AB"], counts["m_AC"], counts["m_ABC"], bounds)):
+        if line.split() != want.split():
+            raise FormatError(f"expected {want!r}, got {line!r}")
     info = {}
     for tag in ("info_B", "info_C"):
         toks = cur.take().split()

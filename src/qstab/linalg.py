@@ -3,28 +3,39 @@
 A row [gamma, x_1 .. x_n, z_1 .. z_n] is a Pauli product as pauli.to_row
 gives it. `echelon` eliminates rows under a caller-given column order, and
 each row operation is one exact Pauli product row * head^f, so phases ride
-along. Pivots are chosen mod a prime p while the arithmetic stays exact mod
-D; for squarefree D callers run it per prime factor. Plain F_p matrices use
-the same engine through `rref`: a vector v goes in as the row [0, *v]
-(padded to odd length), and its meaningless phase slot is ignored.
+along. A row operation touches only the head's nonzero columns (retired
+qudits and the other pivots are zero there) and copies the rest unreduced,
+so rows must come reduced: gamma mod 2D, exponents mod D. Pivots are chosen
+mod a prime p while the arithmetic stays exact mod D; for squarefree D
+callers run it per prime factor. Plain F_p matrices use the same engine
+through `rref`: a vector v goes in as the row [0, *v] (padded to odd
+length), and its meaningless phase slot is ignored.
 """
 
 from __future__ import annotations
 
-import operator
+from itertools import compress
 
 from .modring import inv_mod
 
 
 def _times_power(row: list[int], head: list[int], f: int, d: int) -> list[int]:
-    """row * head^f in one pass; equals row_multiply(row, row_power(head, f))."""
+    """row * head^f, equal to row_multiply(row, row_power(head, f)).
+
+    One pass over the head's nonzero exponent columns updates those entries
+    mod D and sums the phase terms head x.z and row z.head x; the rest of
+    `row` is copied, so it must come reduced.
+    """
     n = len(row) // 2
-    hx = head[1:n + 1]
-    gamma = (row[0] + f * head[0]
-             - f * (f - 1) * sum(map(operator.mul, hx, head[n + 1:]))
-             - 2 * f * sum(map(operator.mul, row[n + 1:], hx)))
-    out = [(u + f * v) % d for u, v in zip(row, head)]
-    out[0] = gamma % (2 * d)
+    out = row[:]
+    xz = zx = 0
+    for c in compress(range(1, 2 * n + 1), head[1:]):
+        v = head[c]
+        out[c] = (row[c] + f * v) % d
+        if c <= n:
+            xz += v * head[c + n]
+            zx += v * row[c + n]
+    out[0] = (row[0] + f * (head[0] - (f - 1) * xz - 2 * zx)) % (2 * d)
     return out
 
 

@@ -14,6 +14,8 @@ from qstab.pauli import z_op
 from qstab.randgen import random_code, random_state
 from qstab.stabilizer import GraphAdjacency, ghz_group
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def test_stabilizer_round_trip():
     for d in (2, 6):
@@ -80,6 +82,23 @@ def test_channel_report_bounds_phrasing():
     assert "Q_B >= 0 (log2 units)" in text
 
 
+@pytest.mark.parametrize("name", ["pentagon", "pentagon_bounds"])
+@pytest.mark.parametrize("fault", ["tag", "mixed relations", "value"])
+def test_channel_report_capacity_lines_must_match_counts(name, fault):
+    text = (GOLDEN / f"{name}.chan").read_text()
+    rel, other = (">=", "=") if name == "pentagon_bounds" else ("=", ">=")
+    assert formats.render_channel_report(
+        formats.parse_channel_report(text)) == text
+    old, new = {
+        "tag": ("Q_B ", "Q_X "),
+        "mixed relations": (f"C_C {rel} ", f"C_C {other} "),
+        "value": (f"C_B {rel} 1 ", f"C_B {rel} 99 "),
+    }[fault]
+    assert text.count(old) == 1
+    with pytest.raises(FormatError):
+        formats.parse_channel_report(text.replace(old, new))
+
+
 def test_detect_kind():
     s = ghz_group(2)
     assert formats.detect_kind(formats.render_stabilizer(s)) == "stabilizer"
@@ -105,7 +124,6 @@ def test_parse_errors():
         formats.parse_graph("QSTAB1 graph\nD 2 n 200000\n")
 
 
-GOLDEN = Path(__file__).parent / "golden"
 PARSERS = {
     "stab": formats.parse_stabilizer,
     "code": formats.parse_code,

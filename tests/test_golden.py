@@ -22,9 +22,11 @@ from qstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (state file, --parts value); D in {2, 3, 6, 10}, n <= 6.
+# name -> (state file, --parts value); D in {2, 3, 6, 10}, n <= 24.
 # d3_pivot and d10_pivot pin which group elements the extraction picks:
 # eliminating the same rows in another order changes their gates.
+# d3_thirds and d2_halves are `random-state --seed 1` at n = 24 and n = 20,
+# where retired qudits leave most columns of each row zero.
 NF_CASES = {
     "d2_tri_empty": ("d2_n5.stab", "1,3/-/2,4,5"),
     "d3_ghz": ("d3_n6.stab", "1,2/3,4/5,6"),
@@ -32,6 +34,10 @@ NF_CASES = {
     "d2_bi": ("d2_n6.stab", "1,2,3/4,5,6"),
     "d3_pivot": ("d3_n4.stab", "1,2/4/3"),
     "d10_pivot": ("d10_n6.stab", "5/1,2/3,4,6"),
+    "d3_thirds": ("d3_n24.stab", "1,2,3,4,5,6,7,8/9,10,11,12,13,14,15,16/"
+                                 "17,18,19,20,21,22,23,24"),
+    "d2_halves": ("d2_n20.stab", "1,2,3,4,5,6,7,8,9,10/"
+                                 "11,12,13,14,15,16,17,18,19,20"),
 }
 # name -> extra `channel` flags on the [[5, 1]]_2 pentagon code
 CHANNEL_CASES = {

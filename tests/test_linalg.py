@@ -17,7 +17,7 @@ from qstab.pauli import (multiply, order, power, row_multiply, row_power,
 from qstab.randgen import random_state
 from qstab.stabilizer import elements
 
-D_SET = [2, 3, 5, 7, 6, 10, 15, 30]
+D_SET = [2, 3, 5, 7, 11, 1009, 2**31 - 1, 6, 10, 15, 30]
 
 
 def reference_rref(rows, p):
@@ -52,13 +52,39 @@ def pauli_rows(draw):
     rows = [[draw(st.integers(0, 2 * d - 1))]
             + draw(st.lists(st.integers(0, d - 1), min_size=2 * n, max_size=2 * n))
             for _ in range(k)]
+    return d, n, rows, draw(some_columns(n))
+
+
+@st.composite
+def some_columns(draw, n):
     columns = draw(st.permutations(range(1, 2 * n + 1)))
-    columns = columns[:draw(st.integers(0, 2 * n))]
-    return d, n, rows, columns
+    return columns[:draw(st.integers(0, 2 * n))]
+
+
+@st.composite
+def sparse_pauli_rows(draw):
+    """Reduced rows that are mostly zero, as retired qudits and reduced heads
+    leave them, with all-zero and gamma-only rows among them."""
+    d = draw(st.sampled_from(D_SET))
+    n = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = [0] * (2 * n + 1)
+        kind = draw(st.sampled_from(["sparse", "zero", "gamma"]))
+        if kind != "zero":
+            row[0] = draw(st.integers(kind == "gamma", 2 * d - 1))
+        if kind == "sparse" and n:
+            for c in draw(st.sets(st.integers(1, 2 * n), max_size=3)):
+                row[c] = draw(st.integers(1, d - 1))
+        rows.append(row)
+    return d, n, rows, draw(some_columns(n))
+
+
+any_rows = st.one_of(pauli_rows(), sparse_pauli_rows())
 
 
 @settings(max_examples=300, deadline=None)
-@given(pauli_rows())
+@given(any_rows)
 def test_echelon_matches_reference_per_prime(case):
     d, n, rows, columns = case
     for p in factorize(d).primes:
@@ -72,7 +98,18 @@ def test_echelon_matches_reference_per_prime(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pauli_rows(), st.integers(-40, 40))
+@given(any_rows)
+def test_echelon_keeps_rows_reduced(case):
+    d, n, rows, columns = case
+    for p in factorize(d).primes:
+        basis, _, rest = linalg.echelon(rows, columns, p, d)
+        for row in basis + rest:
+            assert 0 <= row[0] < 2 * d
+            assert all(0 <= v < d for v in row[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_rows, st.integers(-40, 40))
 def test_row_operation_is_one_pauli_product(case, f):
     d, n, rows, _ = case
     for a in rows:
@@ -82,12 +119,13 @@ def test_row_operation_is_one_pauli_product(case, f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(D_SET), st.integers(1, 4), st.integers(0, 2**32 - 1),
+@given(st.sampled_from([d for d in D_SET if d <= 1009]), st.integers(1, 4),
+       st.integers(0, 2**32 - 1),
        st.randoms(use_true_random=False))
 def test_echelon_rows_are_exact_group_elements(d, n, seed, rng):
     """Basis rows are group elements and dependent rows leave the exact
     identity, phase included, under any column order."""
-    n = min(n, int(math.log(400, d)))
+    n = max(1, min(n, int(math.log(400, d))))
     group = random_state(d, n, seed)
     members = {tuple(to_row(el)) for el in elements(group)}
     extra = []
