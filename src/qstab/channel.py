@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .canonicalize import NormalForm, check_cover, tripartition_normal_form
-from .clifford import conjugate, cphase, inverse_gates
+from .clifford import conjugate_rows, cphase, inverse_gates
 from .errors import (
     InternalInvariant,
     InvalidCode,
@@ -35,9 +35,11 @@ from .pauli import (
     PauliProduct,
     embed,
     from_exponents,
+    from_row,
     inverse,
     multiply,
     phase_op,
+    to_row,
     x_op,
     z_op,
 )
@@ -262,14 +264,17 @@ def transpose_pauli(p: PauliProduct) -> PauliProduct:
 
 
 def to_original_input_basis(analysis: ChannelAnalysis,
-                            p: PauliProduct) -> PauliProduct:
-    """Map a transformed-basis input Pauli to the original input basis.
+                            paulis) -> tuple[PauliProduct, ...]:
+    """Map transformed-basis input Paulis to the original input basis.
 
     The recorded Choi-side input unitary W acts on the isometry as W^T, so
-    the original-basis operator is W^T p (W^T)^dag = (W^dag p^T W)^T.
+    the original-basis operator is W^T p (W^T)^dag = (W^dag p^T W)^T. The
+    inverse circuit is built once and replayed on all rows in one pass.
     """
-    if p.n != analysis.code.k:
-        raise ShapeMismatch("operator must live on the k input qudits")
+    d, k = analysis.code.d, analysis.code.k
+    if any(p.n != k for p in paulis):
+        raise ShapeMismatch("operators must live on the k input qudits")
     # W acts on the inputs, qudits 0..k-1 of the Choi register, alone
-    inv = inverse_gates(analysis.normal_form.circuits[0], analysis.code.d)
-    return transpose_pauli(conjugate(inv, transpose_pauli(p)))
+    inv = inverse_gates(analysis.normal_form.circuits[0], d)
+    rows = conjugate_rows(inv, [to_row(transpose_pauli(p)) for p in paulis], d)
+    return tuple(transpose_pauli(from_row(d, row)) for row in rows)

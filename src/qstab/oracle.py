@@ -6,9 +6,11 @@ lambda = exp(i pi / D)) and is used to cross-check the algebraic fast path at
 desk scale. Tolerances live in two constants: ZERO_TOL for rank/nullity
 decisions and EQ_TOL for entrywise equality.
 
-States, isometries and brute-force information groups act with Pauli products
-by index arithmetic (_pauli_action), never through D^n x D^n matrices, the
-group enumeration or the exact-path Pauli algebra.
+States and isometries act with Pauli products by index arithmetic
+(_pauli_action); brute-force information groups take one contraction of V
+against conj(V) per input X pattern and one product with the character table
+omega^{z.m}. None of it goes through D^n x D^n matrices, the group
+enumeration or the exact-path Pauli algebra.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .stabilizer import StabilizerGroup
 ZERO_TOL = 1e-9
 EQ_TOL = 1e-10
 DIMENSION_CAP = 4096
+INFO_GROUP_CAP = 1024  # D^(n+k) cap: per X pattern a d_B x d_B x D^k array
 
 
 def _check_cap(d: int, n: int) -> int:
@@ -261,18 +264,23 @@ def brute_force_info_group(v_iso: np.ndarray, keep, d: int, n: int,
                            k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (x, z) exponent patterns on the k inputs with nonzero channel image.
 
-    The image of P is Tr_rest(V P V^dag); with (V P)[:, m] = phase[m] V[:, idx[m]]
-    it is one contraction over the dropped qudits and the inputs.
+    The image of X^x Z^z is Tr_rest(V X^x Z^z V^dag) = sum_m omega^{z.m}
+    M_x[:, :, m] with M_x[a, b, m] = sum_r V[a, r, m - x] conj(V[b, r, m]):
+    per x, one contraction and one product with the character table. The
+    patterns come in itertools.product order, x outer and z inner.
     """
     t = _part_axes(v_iso, keep, d, n)
     t_conj = t.conj()
+    digits, weights = _digits(d, k), _digit_weights(d, k)
+    patterns = list(itertools.product(range(d), repeat=k))
+    # chars[z, m] = omega^{z.m}, symmetric, so M_x @ chars holds every image
+    chars = np.exp(2j * np.pi / d * (digits @ digits.T % d))
     out = []
-    for xs in itertools.product(range(d), repeat=k):
-        for zs in itertools.product(range(d), repeat=k):
-            idx, phase = _pauli_action(PauliProduct(d, 0, xs, zs))
-            image = np.einsum("ari,bri->ab", t[:, :, idx] * phase, t_conj)
-            if np.max(np.abs(image)) > ZERO_TOL:
-                out.append((xs, zs))
+    for xs, x_digits in zip(patterns, digits):
+        shifted = (digits - x_digits) % d @ weights
+        m_x = np.einsum("arm,brm->abm", t[:, :, shifted], t_conj)
+        live = np.max(np.abs(m_x @ chars), axis=(0, 1)) > ZERO_TOL
+        out += [(xs, zs) for zs, on in zip(patterns, live) if on]
     return out
 
 

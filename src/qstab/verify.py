@@ -113,7 +113,7 @@ def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
          nf.m_abc + nf.m_ab + nf.m_ac == code.k),
         ("duality", verify_duality(analysis)),
     ]
-    if code.d ** (code.n + code.k) <= 1024:
+    if code.d ** (code.n + code.k) <= oracle.INFO_GROUP_CAP:
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
         ok = True
         for side, gens in (("B", analysis.info_b), ("C", analysis.info_c)):
@@ -122,7 +122,7 @@ def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
                                                   code.n, code.k)
             # rref drops the zero rows, the phase-only elements among them
             brute_rows = [list(x) + list(z) for x, z in brute]
-            mapped = [to_original_input_basis(analysis, g) for g in gens]
+            mapped = to_original_input_basis(analysis, gens)
             mapped_rows = [list(g.x) + list(g.z) for g in mapped]
             ok = ok and (linalg.rref(brute_rows, code.d)[0]
                          == linalg.rref(mapped_rows, code.d)[0])

@@ -220,7 +220,7 @@ def test_07_duality_and_brute_force():
             b, c = random_partition(n, 2, seed + 1)
             an = analyze_channel(code, b, c)
             ok = ok and verify_duality(an)
-            if d ** (n + k) <= 1024:
+            if d ** (n + k) <= oracle.INFO_GROUP_CAP:
                 v_iso = oracle.isometry_from_code(code.graph_group,
                                                   code.coding_gens)
                 for info, keep in ((an.info_b, b), (an.info_c, c)):
@@ -228,8 +228,7 @@ def test_07_duality_and_brute_force():
                                                           d, n, k)
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
-                    mapped = [to_original_input_basis(an, g)
-                              for g in info]
+                    mapped = to_original_input_basis(an, info)
                     rows = [list(g.x) + list(g.z) for g in mapped
                             if any(g.x) or any(g.z)]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []

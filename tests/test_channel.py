@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qstab import linalg, oracle
+from qstab import channel, linalg, oracle
 from qstab.channel import (
     CodeSpec,
     analyze_channel,
@@ -18,6 +18,7 @@ from qstab.channel import (
     transpose_pauli,
     verify_duality,
 )
+from qstab.clifford import conjugate, inverse_gates
 from qstab.errors import InvalidCode, NonPrimeD, NotMaximallyMixedInput, ShapeMismatch
 from qstab.pauli import from_exponents, phase_op, x_op, z_op
 from qstab.randgen import random_code, random_partition
@@ -257,15 +258,14 @@ def test_random_codes_duality_and_brute_force():
             assert verify_duality(an)
             nf = an.normal_form
             assert nf.m_abc + nf.m_ab + nf.m_ac == k
-            if d ** (n + k) <= 1024:
+            if d ** (n + k) <= oracle.INFO_GROUP_CAP:
                 v_iso = oracle.isometry_from_code(code.graph_group,
                                                   code.coding_gens)
                 for info, keep in ((an.info_b, b), (an.info_c, c)):
                     brute = oracle.brute_force_info_group(v_iso, keep, d, n, k)
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
-                    mapped = [to_original_input_basis(an, g)
-                              for g in info]
+                    mapped = to_original_input_basis(an, info)
                     rows = [list(g.x) + list(g.z) for g in mapped
                             if any(g.x) or any(g.z)]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []
@@ -282,7 +282,7 @@ def test_info_group_isomorphism_property():
         b, c = random_partition(n, 2, seed)
         an = analyze_channel(code, b, c)
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
-        mapped = [to_original_input_basis(an, g) for g in an.info_b]
+        mapped = to_original_input_basis(an, an.info_b)
         outs = [oracle.apply_channel(v_iso, b, d, n, oracle.pauli_matrix(p))
                 for p in mapped]
         constants = []
@@ -337,3 +337,34 @@ def test_analyze_rejects_bad_bipartition():
         analyze_channel(code, [0], [0, 1])
     with pytest.raises(ShapeMismatch):
         analyze_channel(code, [0], [])
+
+
+def test_to_original_input_basis_maps_a_sequence(monkeypatch):
+    # one inverse circuit per call, replayed on every operator, gives what
+    # conjugating each operator on its own through a fresh inverse gives
+    calls = []
+    real_inverse = channel.inverse_gates
+
+    def counting_inverse(gates, d):
+        calls.append(1)
+        return real_inverse(gates, d)
+
+    monkeypatch.setattr(channel, "inverse_gates", counting_inverse)
+    rng = random.Random(7)
+    for d, n, k, seed in ((2, 4, 2, 1), (3, 3, 2, 2), (5, 3, 1, 3),
+                          (7, 2, 2, 4)):
+        code = make_code(d, n, k, seed)
+        b, c = random_partition(n, 2, seed)
+        an = analyze_channel(code, b, c)
+        extra = tuple(from_exponents(d, [rng.randrange(d) for _ in range(k)],
+                                     [rng.randrange(d) for _ in range(k)],
+                                     rng.randrange(2 * d)) for _ in range(3))
+        inv = inverse_gates(an.normal_form.circuits[0], d)
+        for paulis in (an.info_b, an.info_c, extra, ()):
+            calls.clear()
+            want = tuple(transpose_pauli(conjugate(inv, transpose_pauli(p)))
+                         for p in paulis)
+            assert to_original_input_basis(an, paulis) == want
+            assert len(calls) == 1
+        with pytest.raises(ShapeMismatch):
+            to_original_input_basis(an, extra + (x_op(d, k + 1, 0),))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qstab.channel import CodeSpec
 from qstab.clifford import cnot, cphase, fourier, smult
 from qstab.errors import NotAState, TooLarge
 from qstab.pauli import PauliProduct, from_exponents, x_op, z_op
-from qstab.randgen import random_code, random_state
+from qstab.randgen import random_code, random_part_gates, random_state
 from qstab.stabilizer import (
     GraphAdjacency,
     StabilizerGroup,
@@ -300,6 +301,14 @@ def test_dense_oracle_uses_no_exact_path_algebra(monkeypatch):
     assert got[2] == want[2]
 
 
+def _kron_reference(v_iso, keep, d, n, k):
+    return [(xs, zs)
+            for xs in itertools.product(range(d), repeat=k)
+            for zs in itertools.product(range(d), repeat=k)
+            if oracle.pauli_transmitted(v_iso, keep, d, n,
+                                        PauliProduct(d, 0, xs, zs))]
+
+
 @pytest.mark.parametrize("d, n, k, seed", [
     (3, 4, 2, 1), (3, 3, 1, 2), (3, 2, 2, 3), (5, 2, 1, 4), (5, 3, 1, 5),
     (5, 2, 2, 6)])
@@ -311,11 +320,7 @@ def test_brute_force_info_group_matches_kron_reference(d, n, k, seed):
     code = CodeSpec(n, k, d, graph, tuple(coding))
     v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
     for keep in ([], list(range(0, n, 2)), list(range(n))):
-        want = [(xs, zs)
-                for xs in itertools.product(range(d), repeat=k)
-                for zs in itertools.product(range(d), repeat=k)
-                if oracle.pauli_transmitted(v_iso, keep, d, n,
-                                            PauliProduct(d, 0, xs, zs))]
+        want = _kron_reference(v_iso, keep, d, n, k)
         assert oracle.brute_force_info_group(v_iso, keep, d, n, k) == want
 
 
@@ -351,3 +356,53 @@ def test_orbit_sum_by_doubling_matches_literal_sum(d, monkeypatch):
             for g in group.gens:
                 assert oracle.matrices_equal(_apply_by_axes(g, state), state,
                                              tol=1e-9)
+
+
+@st.composite
+def small_codes(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, max(n for n in range(1, 5) if d**n <= 343)))
+    k = draw(st.integers(0, max(k for k in range(min(n, 2) + 1)
+                                if d ** (n + k) <= 343)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    graph, coding = random_code(d, n, k, seed)
+    keep = sorted(draw(st.sets(st.integers(0, n - 1))))
+    # 4k random gates on the inputs, a Clifford turning V into V U
+    tilt = random_part_gates(d, range(k), random.Random(seed), 4 * k)
+    return CodeSpec(n, k, d, graph, tuple(coding)), keep, tilt
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_codes())
+def test_brute_force_info_group_property(case):
+    # the per-X-pattern contraction lists exactly the patterns, in the same
+    # order, that V rho V^dag plus a partial trace transmits, for no kept
+    # output, a drawn subset and all outputs; the input-side Clifford tilts
+    # the transmitted patterns off the X and Z axes, where a slip in the
+    # character table's sign would relabel them unseen
+    code, drawn, tilt = case
+    d, n, k = code.d, code.n, code.k
+    v_iso = (oracle.isometry_from_code(code.graph_group, code.coding_gens)
+             @ oracle.clifford_matrix(d, k, tilt))
+    for keep in ([], drawn, list(range(n))):
+        assert (oracle.brute_force_info_group(v_iso, keep, d, n, k)
+                == _kron_reference(v_iso, keep, d, n, k))
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 5, 5), (3, 4, 2), (5, 2, 1),
+                                     (7, 2, 0)])
+def test_brute_force_info_group_contracts_once_per_x_pattern(d, n, k,
+                                                             monkeypatch):
+    graph, coding = random_code(d, n, k, 1)
+    code = CodeSpec(n, k, d, graph, tuple(coding))
+    v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
+    calls = []
+    real_einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return real_einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    oracle.brute_force_info_group(v_iso, [0], d, n, k)
+    assert len(calls) == d**k
