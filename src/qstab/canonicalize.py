@@ -10,9 +10,10 @@ The constructive pipeline, for prime D:
      Z Z^{-1}, shape the other to X X across one qudit of each part, and
      retire the pair.
   3. GHZ extraction: pick a BC-local element and pivot it to Z_b Z_c^{-1};
-     locate the AB-local partner carrying the matching Z_b and pivot it to
-     Z_a^{-1} Z_b; locate the element whose C-pattern is a bare X_c and shape
-     it to X_a X_b X_c; retire the triple.
+     one elimination on C's columns then yields the element whose C-pattern
+     is a bare X_c and, among the rows it leaves trivial on C, the AB-local
+     partner carrying the matching Z_b; pivot the partner to Z_a^{-1} Z_b,
+     shape the X_c element to X_a X_b X_c and retire the triple.
 
 The input is validated once, when it is built, and extraction starts from
 the natural-order echelon rows that validation kept on the group; from there
@@ -26,8 +27,9 @@ canonical rows of the subgroup on it. That costs one elimination per
 phase; each step then writes pivot words in closed form from the exponents
 (clifford.pivot_part_gates), conjugates the rows through them
 (clifford.conjugate_rows), clears the retired columns with its own extracted
-rows and re-echelons only the rows on the part. GHZ steps work on the
-canonical natural-order rows, taking their subgroups per step.
+rows and re-echelons only the rows on the part. A GHZ step starts from
+the canonical natural-order rows, takes the BC subgroup, and reads both
+partners off one elimination on C's columns and one on B's.
 
 Squarefree composite D runs per prime factor after CRT decomposition; the
 composite counts are reported as the componentwise minimum across factors
@@ -59,7 +61,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
-from .pauli import from_row, row_multiply, row_power, to_row, x_op
+from .pauli import from_row, row_power, to_row, x_op
 from .stabilizer import (
     StabilizerGroup,
     epr_pair_generators,
@@ -236,15 +238,6 @@ class _Extraction:
         """Hold every active qudit: the canonical natural-order rows."""
         return self.hold(q for q in range(self.n) if q not in self.retired)
 
-    def on_part(self, qudits) -> list[list[int]]:
-        """Canonical rows of the active elements trivial off `qudits`,
-        leaving the held echelon as it is."""
-        return rows_on_part(self.rows, self.n, qudits, self.d, self.d)[1]
-
-    def lowest(self, row: list[int], qudits) -> int:
-        """Lowest qudit of `qudits` where `row` acts nontrivially."""
-        return min(q for q in qudits if row[1 + q] or row[1 + self.n + q])
-
     def row(self, x: dict[int, int], z: dict[int, int]) -> list[int]:
         """Phase-free row with the given {qudit: exponent} X and Z entries."""
         row = [0] * (2 * self.n + 1)
@@ -265,6 +258,19 @@ class _Extraction:
         rows = conjugate_rows(gates, self.rows + tracked, self.d)
         self.rows = rows[:k]
         return rows[k:]
+
+    def pivot(self, part_idx: int, qudits, tracked: list[list[int]],
+              which: int, form: str, target: int | None = None
+              ) -> tuple[int, list[list[int]]]:
+        """Pivot tracked[which] on `qudits` of one part to `form` at `target`
+        (by default the lowest qudit where it acts), carrying every tracked
+        row through the gates (clifford.pivot_part_gates)."""
+        row = tracked[which]
+        if target is None:
+            target = min(q for q in qudits
+                         if row[1 + q] or row[1 + self.n + q])
+        gates = pivot_part_gates(row, qudits, target, form, self.d)
+        return target, self.apply(part_idx, gates, tracked)
 
     def retire(self, qudits, tracked: list[list[int]]) -> None:
         """Retire `qudits`, clearing their columns with the step's extracted
@@ -308,19 +314,17 @@ def _comm_on(p: list[int], q: list[int], qudits, n: int, d: int) -> int:
                for i in qudits) % d
 
 
-def _solve_for_pattern(rows: list[list[int]], qudits, want: list[int],
-                       d: int, n: int) -> list[int] | None:
-    """Row of the group element whose exponents on `qudits` equal those of
-    the row `want` (prime D), in the span of the earliest rows independent
-    on `qudits`."""
+def _unit_head(rows: list[list[int]], qudits, column: int, n: int, d: int
+               ) -> tuple[list[int] | None, list[list[int]]]:
+    """Echelon `rows` on the columns of `qudits` (prime D): the head
+    pivoting at `column` if it is 0 on the others (its pivot entry is 1),
+    else None, and the rows the echelon leaves 0 there."""
     columns = qudit_columns(n, qudits)
-    basis, pivots, _ = linalg.echelon(rows, columns, d, d)
-    row = [0] * (2 * n + 1)
-    for head, c in zip(basis, pivots):
-        row = row_multiply(row, row_power(head, want[c], d), d)
-    if any(row[c] != want[c] for c in columns):
-        return None
-    return row
+    heads, pivots, rest = linalg.echelon(rows, columns, d, d)
+    head = dict(zip(pivots, heads)).get(column)
+    if head is not None and any(head[c] for c in columns if c != column):
+        head = None
+    return head, rest
 
 
 def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
@@ -332,10 +336,7 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     sub = ctx.hold(part_active)
     if not sub:
         return False
-    s = sub[0]
-    target = ctx.lowest(s, part_active)
-    gates = pivot_part_gates(s, part_active, target, "X", ctx.d)
-    (s,) = ctx.apply(part_idx, gates, [s])
+    target, (s,) = ctx.pivot(part_idx, part_active, [sub[0]], 0, "X")
     (s,) = ctx.strip_phase(part_idx, [s], 0, target, use_x=False)
     if s != ctx.row({target: 1}, {}):
         raise InternalInvariant("single-qudit pivot failed")
@@ -360,22 +361,16 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     s_j = sub[a]
     s_k = row_power(sub[b], inv_mod(alpha, ctx.d), ctx.d)
 
-    qx = ctx.lowest(s_j, ax)
-    gates = pivot_part_gates(s_j, ax, qx, "Z", ctx.d)
-    s_j, s_k = ctx.apply(pi, gates, [s_j, s_k])
-    qy = ctx.lowest(s_j, ay)
-    gates = pivot_part_gates(s_j, ay, qy, "Z-", ctx.d)
-    s_j, s_k = ctx.apply(pj, gates, [s_j, s_k])
-    s_j, s_k = ctx.strip_phase(pi, [s_j, s_k], 0, qx, use_x=True)
+    qx, tracked = ctx.pivot(pi, ax, [s_j, s_k], 0, "Z")
+    qy, tracked = ctx.pivot(pj, ay, tracked, 0, "Z-")
+    s_j, s_k = ctx.strip_phase(pi, tracked, 0, qx, use_x=True)
 
     # commutation with s_j pins both X exponents of s_k to one
     if s_k[1 + qx] != 1 or s_k[1 + qy] != 1:
         raise InternalInvariant("partner element lost its X components")
-    gates = pivot_part_gates(s_k, ax, qx, "X", ctx.d)
-    s_j, s_k = ctx.apply(pi, gates, [s_j, s_k])
-    gates = pivot_part_gates(s_k, ay, qy, "X", ctx.d)
-    s_j, s_k = ctx.apply(pj, gates, [s_j, s_k])
-    s_j, s_k = ctx.strip_phase(pi, [s_j, s_k], 1, qx, use_x=False)
+    _, tracked = ctx.pivot(pi, ax, [s_j, s_k], 1, "X", qx)
+    _, tracked = ctx.pivot(pj, ay, tracked, 1, "X", qy)
+    s_j, s_k = ctx.strip_phase(pi, tracked, 1, qx, use_x=False)
 
     if s_k != ctx.row({qx: 1, qy: 1}, {}) or s_j != ctx.row({}, {qx: 1, qy: -1}):
         raise InternalInvariant("EPR shaping failed")
@@ -385,45 +380,40 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
 
 
 def _extract_ghz_once(ctx: _Extraction) -> bool:
-    """One GHZ extraction; False when the active group is exhausted."""
+    """One GHZ extraction; False when the active group is exhausted.
+
+    After t1's pivots, one echelon on C's columns gives both partners: t3 is
+    its head at X_c, and the rows it leaves zero on C span S_AB, whose
+    echelon on B's columns has t2 as its head at Z_b. The singles phase left
+    S_A trivial, so t2 is the only AB element with that B pattern. A-local
+    gates leave C's columns, and so the C echelon's choices, unchanged.
+    """
     if not ctx.rows:
         return False
-    ctx.canonical()  # _solve_for_pattern picks rows by their order
+    ctx.canonical()  # t3 is picked by the order of the rows
     aq = [ctx.active_qudits(i) for i in range(3)]
-    sub_bc = ctx.on_part(aq[1] + aq[2])
+    sub_bc = rows_on_part(ctx.rows, ctx.n, aq[1] + aq[2], ctx.d, ctx.d)[1]
     if not sub_bc:
         raise InternalInvariant("nonempty active state with empty BC subgroup")
-    t1 = sub_bc[0]
+    qb, tracked = ctx.pivot(1, aq[1], [sub_bc[0]], 0, "Z")
+    qc, tracked = ctx.pivot(2, aq[2], tracked, 0, "Z-")
+    (t1,) = ctx.strip_phase(1, tracked, 0, qb, use_x=True)
 
-    qb = ctx.lowest(t1, aq[1])
-    gates = pivot_part_gates(t1, aq[1], qb, "Z", ctx.d)
-    (t1,) = ctx.apply(1, gates, [t1])
-    qc = ctx.lowest(t1, aq[2])
-    gates = pivot_part_gates(t1, aq[2], qc, "Z-", ctx.d)
-    (t1,) = ctx.apply(2, gates, [t1])
-    (t1,) = ctx.strip_phase(1, [t1], 0, qb, use_x=True)
-
-    t2 = _solve_for_pattern(ctx.on_part(aq[0] + aq[1]), aq[1],
-                            ctx.row({}, {qb: 1}), ctx.d, ctx.n)
+    t3, sub_ab = _unit_head(ctx.rows, aq[2], 1 + qc, ctx.n, ctx.d)
+    t2, _ = _unit_head(sub_ab, aq[1], 1 + ctx.n + qb, ctx.n, ctx.d)
     if t2 is None:
         raise InternalInvariant("no AB element matching Z on the pivot qudit")
-    qa = ctx.lowest(t2, aq[0])
-    gates = pivot_part_gates(t2, aq[0], qa, "Z-", ctx.d)
-    t1, t2 = ctx.apply(0, gates, [t1, t2])
-    t1, t2 = ctx.strip_phase(0, [t1, t2], 1, qa, use_x=True)
-
-    t3 = _solve_for_pattern(ctx.rows, aq[2], ctx.row({qc: 1}, {}), ctx.d,
-                            ctx.n)
     if t3 is None:
         raise InternalInvariant("no element with bare X on the C pivot qudit")
+    qa, tracked = ctx.pivot(0, aq[0], [t1, t2, t3], 1, "Z-")
+    t1, t2, t3 = ctx.strip_phase(0, tracked, 1, qa, use_x=True)
+
     # commutation with t1 and t2 pins both X exponents of t3 to one
     if t3[1 + qa] != 1 or t3[1 + qb] != 1:
         raise InternalInvariant("GHZ candidate lost its X components")
-    gates = pivot_part_gates(t3, aq[0], qa, "X", ctx.d)
-    t1, t2, t3 = ctx.apply(0, gates, [t1, t2, t3])
-    gates = pivot_part_gates(t3, aq[1], qb, "X", ctx.d)
-    t1, t2, t3 = ctx.apply(1, gates, [t1, t2, t3])
-    t1, t2, t3 = ctx.strip_phase(2, [t1, t2, t3], 2, qc, use_x=False)
+    _, tracked = ctx.pivot(0, aq[0], [t1, t2, t3], 2, "X", qa)
+    _, tracked = ctx.pivot(1, aq[1], tracked, 2, "X", qb)
+    t1, t2, t3 = ctx.strip_phase(2, tracked, 2, qc, use_x=False)
 
     if (t1 != ctx.row({}, {qb: 1, qc: -1}) or t2 != ctx.row({}, {qa: -1, qb: 1})
             or t3 != ctx.row({qa: 1, qb: 1, qc: 1}, {})):

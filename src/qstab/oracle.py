@@ -180,8 +180,8 @@ def state_from_group(group: StabilizerGroup) -> np.ndarray:
     if not group.is_state():
         raise NotAState(f"group size {group.size} != {group.d}^{group.n}")
     d, dim = group.d, _check_cap(group.d, group.n)
-    rng = random.Random(0)
-    v = np.array([rng.random() - 0.5 for _ in range(2 * dim)]).view(complex)
+    seed = np.frombuffer(random.Random(0).randbytes(16 * dim), dtype=np.uint64)
+    v = (seed / 2.0**64 - 0.5).view(complex)
     actions = [_pauli_action(g) for g in group.gens]
     for action in actions:
         v = _orbit_sum(action, v, d) / d

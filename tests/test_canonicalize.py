@@ -8,8 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qstab import oracle
+from qstab import linalg, oracle
 from qstab.canonicalize import (
+    Partition,
+    _extract_ghz_once,
+    _extract_singles_and_pairs,
+    _Extraction,
     bipartition_normal_form,
     extract_epr_pair,
     extract_ghz,
@@ -42,7 +46,7 @@ from qstab.stabilizer import (
 )
 from qstab.verify import verify_normal_form
 
-from group_helpers import tensor_groups
+from group_helpers import planted_state, tensor_groups
 from nf_reference import normal_form_group, reference_is_exact
 
 
@@ -262,6 +266,29 @@ def test_figure_style_round_trip():
     nf = tripartition_normal_form(scrambled, a, b, c)
     assert nf.counts == {"m_A": 0, "m_B": 0, "m_C": 1, "m_AB": 1,
                          "m_AC": 0, "m_BC": 0, "m_ABC": 1}
+
+
+def test_ghz_step_eliminates_on_c_once(monkeypatch):
+    # t2 and t3 come off one echelon on C's columns: after the first step,
+    # which also re-holds every active qudit, each GHZ step makes six
+    # echelon calls (BC subgroup 2, C 1, B 1, retire 2)
+    group, parts = planted_state(3, {"m_ABC": 8}, 3)
+    ctx = _Extraction(group, Partition(group.n, tuple(map(tuple, parts))))
+    _extract_singles_and_pairs(ctx)
+    calls = []
+    echelon = linalg.echelon
+
+    def counted(*args):
+        calls[-1] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "echelon", counted)
+    while True:
+        calls.append(0)
+        if not _extract_ghz_once(ctx):
+            break
+    assert len(ctx.triples) == 8
+    assert calls[1:8] == [6] * 7
 
 
 def test_local_clifford_invariance():

@@ -38,6 +38,15 @@ NF_CASES = {
                                  "17,18,19,20,21,22,23,24"),
     "d2_halves": ("d2_n20.stab", "1,2,3,4,5,6,7,8,9,10/"
                                  "11,12,13,14,15,16,17,18,19,20"),
+    # group_helpers.planted_state(3, {m_A 1, m_C 1, m_AB 1, m_BC 1,
+    # m_ABC 8}, seed 1) and (2, {m_B 1, m_AC 1, m_BC 1, m_ABC 8}, seed 2):
+    # eight GHZ steps each, which pin the elements the GHZ phase picks.
+    "d3_ghz_rich": ("d3_n30.stab", "1,2,5,7,8,9,12,15,28,29/"
+                                   "4,10,14,17,22,23,24,25,26,30/"
+                                   "3,6,11,13,16,18,19,20,21,27"),
+    "d2_ghz_rich": ("d2_n29.stab", "10,11,12,15,18,24,25,27,29/"
+                                   "1,3,6,8,9,19,20,21,23,28/"
+                                   "2,4,5,7,13,14,16,17,22,26"),
 }
 # name -> extra `channel` flags on the [[5, 1]]_2 pentagon code
 CHANNEL_CASES = {

@@ -6,7 +6,9 @@ qudit lands in a random part, so parts may be empty. Each drawn instance
 must conserve qudits, match the algebraic cut ranks, come out the same
 twice, keep its counts under local Cliffords, and, at composite D, carry
 per-factor forms that re-verify against the CRT factors. At prime D, one
-round of single and EPR phases leaves nothing for a second round.
+round of single and EPR phases leaves nothing for a second round. Planted
+states, tensor products of singles, pairs and GHZ triples scrambled on each
+part, must come back with exactly their planted counts.
 """
 
 import dataclasses
@@ -27,6 +29,8 @@ from qstab.formats import render_normal_form
 from qstab.modring import factorize
 from qstab.randgen import random_part_gates, random_state, scramble_group
 from qstab.stabilizer import reduced_rank
+
+from group_helpers import PLANTED_KINDS, planted_state
 
 
 PRIMES = [2, 3, 5, 7, 11, 1009, 2**31 - 1]
@@ -106,3 +110,23 @@ def test_one_round_of_single_and_epr_phases_suffices(case):
     done = (list(ctx.singles), list(ctx.pairs), [list(c) for c in ctx.circuits])
     _extract_singles_and_pairs(ctx)
     assert (ctx.singles, ctx.pairs, ctx.circuits) == done
+
+
+@st.composite
+def planted_cases(draw):
+    d = draw(st.sampled_from(PRIMES + [6, 10, 15, 30]))
+    counts = {key: draw(st.integers(0, 3)) for key in PLANTED_KINDS}
+    return planted_state(d, counts, draw(st.integers(0, 2**32 - 1))), counts
+
+
+@settings(max_examples=88, deadline=None)
+@given(planted_cases())
+def test_planted_states_return_their_counts(case):
+    (group, parts), counts = case
+    nf = tripartition_normal_form(group, *parts)
+    assert nf.counts == counts
+    factors = decompose_state(group) if nf.factors else [(group.d, group)]
+    assert len(factors) == len(_prime_forms(nf))
+    for (_, factor), sub in zip(factors, _prime_forms(nf)):
+        assert sub.counts == counts
+        assert is_exact(factor, dataclasses.replace(sub))
