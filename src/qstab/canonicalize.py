@@ -108,8 +108,8 @@ class NormalForm:
     """Counts, per-part unitaries, and the qudit role assignment.
 
     For composite D, `factors` holds the per-prime normal forms (ground
-    truth); the top-level counts are then the componentwise minimum and
-    `composite_counts_derived` marks that presentation.
+    truth); the top-level counts are then the componentwise minimum, which
+    `composite_counts_derived` reports.
     """
 
     d: int
@@ -127,11 +127,14 @@ class NormalForm:
     triples: tuple[tuple[int, int, int], ...]
     circuits: tuple[tuple[Gate, ...], ...]
     factors: tuple[tuple[int, "NormalForm"], ...] = ()
-    composite_counts_derived: bool = False
     # the input this very object passed the built-in exactness check
     # against; parsing, replace() and construction leave it unset
     _exact_for: StabilizerGroup | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    @property
+    def composite_counts_derived(self) -> bool:
+        return bool(self.factors)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -478,7 +481,7 @@ def _composite_normal_form(group: StabilizerGroup,
         m_ab=mins["m_AB"], m_ac=mins["m_AC"], m_bc=mins["m_BC"],
         m_abc=mins["m_ABC"],
         singles=(), pairs=(), triples=(), circuits=(),
-        factors=tuple(factor_forms), composite_counts_derived=True,
+        factors=tuple(factor_forms),
     )
 
 

@@ -6,8 +6,9 @@ Z to Z^{r1} (x) Z^{r2}; on exponent vectors the split is exactly phase-free
 factors exactly as lambda_{d1}^{u gamma} * lambda_{d2}^{v gamma} using the
 Bezout identity u*d2 + v*d1 = 1. Generators split through the order-coprime
 powers g^{mu_1 delta_2} and g^{mu_2 delta_1}, which land entirely on one
-component each. Composite dimensions decompose by recursive binary splitting
-(first prime factor versus the rest)."""
+component each. A composite D decomposes one prime p at a time: the order-p
+component of each generator is one-sided under the split D = p * D/p, and
+its Z_p side generates the factor at p."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import math
 
 from .errors import InternalInvariant, InvalidStabilizer, NotAState
 from .modring import CrtSplit, factorize, inv_mod, make_split
-from .pauli import PauliProduct, order, power
-from .stabilizer import StabilizerGroup
+from .pauli import PauliProduct, from_row, order, power
+from .stabilizer import StabilizerGroup, _sylow_rows
 
 
 def split_pauli(p: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliProduct]:
@@ -69,29 +70,20 @@ def split_generator(g: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, Pau
 def decompose_group(group: StabilizerGroup) -> list[tuple[int, StabilizerGroup]]:
     """Tensor factors of the group, one per prime factor of D (ascending).
 
+    The factor at p is generated by the order-p components of the generators
+    (stabilizer._sylow_rows), each carried onto Z_p by the split D = p * D/p.
     Returns [(p_i, group over Z_{p_i})]; sizes multiply back to |group|.
     """
     mod = factorize(group.d)
     if mod.is_prime:
         return [(group.d, group)]
-    p1 = mod.factors[0][0]
-    split = make_split(group.d, p1)
-    firsts: list[PauliProduct] = []
-    rests: list[PauliProduct] = []
-    for g in group.gens:
-        h1, h2 = split_generator(g, split)
-        if not h1.is_identity():
-            firsts.append(h1)
-        if not h2.is_identity():
-            rests.append(h2)
-    first_group = StabilizerGroup(p1, group.n, tuple(firsts))
-    rest_group = StabilizerGroup(split.d2, group.n, tuple(rests))
-    out = [(p1, first_group)]
-    out.extend(decompose_group(rest_group))
-    total = 1
-    for _, fac in out:
-        total *= fac.size
-    if total != group.size:
+    out = []
+    for p in mod.primes:
+        split = make_split(group.d, p)
+        gens = tuple(_one_sided(from_row(group.d, row), split, 1)
+                     for row in _sylow_rows(group.gens, p, group.d))
+        out.append((p, StabilizerGroup(p, group.n, gens)))
+    if math.prod(fac.size for _, fac in out) != group.size:
         raise InternalInvariant("factor sizes do not multiply to the group size")
     return out
 

@@ -4,6 +4,9 @@ One format family: stabilizer files, graph files, code files, gate lists,
 normal-form reports, and channel reports. Qudit and part indices are 1-based
 in files (0-based in memory). Output is byte-stable: rendering the parse of a
 rendered value reproduces the bytes, which is what the golden-file tests pin.
+The two report parsers check their input by rendering what they read: the
+text must match that rendering token for token (spacing and blank lines are
+free). Input files (stabilizer, graph, code) accept unreduced exponents.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ MAGIC = "QSTAB1"
 
 def _text_parser(parse):
     """Report malformed text as FormatError: the line-by-line parsers meet a
-    short line as IndexError and a bad integer as ValueError."""
+    short line as IndexError, a bad integer as ValueError, and a count too
+    large for a capacity line as OverflowError."""
     @functools.wraps(parse)
     def wrapped(text: str):
         try:
             return parse(text)
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed input to {parse.__name__}: {exc}") from exc
     return wrapped
 
@@ -231,8 +235,9 @@ class _Cursor:
         self.lines = lines
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+    def peek(self) -> str:
+        """First token of the next line, or "" at the end of the report."""
+        return self.lines[self.pos].split()[0] if self.pos < len(self.lines) else ""
 
     def take(self) -> str:
         if self.pos >= len(self.lines):
@@ -240,109 +245,90 @@ class _Cursor:
         self.pos += 1
         return self.lines[self.pos - 1]
 
+    def block(self, at: int = 1) -> list[str]:
+        """The lines announced by the count at token `at` of the next line."""
+        count = int(self.take().split()[at])
+        return [self.take() for _ in range(count)]
 
-_COUNT_KEYS = ("m_A", "m_B", "m_C", "m_AB", "m_AC", "m_BC", "m_ABC")
+
+def _index_list(tok: str) -> tuple[int, ...]:
+    return () if tok == "-" else tuple(int(q) - 1 for q in tok.split(","))
+
+
+def _first_difference(text: str, rendered: str) -> FormatError:
+    """Name the first line of `text` whose tokens differ from `rendered`'s."""
+    got = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
+           if ln.strip()]
+    want = [ln.split() for ln in rendered.splitlines()]
+    # an empty token list on each side stands for the end of input
+    got.append((len(text.splitlines()) + 1, []))
+    want.append([])
+    for (i, toks), expected in zip(got, want):
+        if toks != expected:
+            break
+    return FormatError(f"line {i} reads {' '.join(toks) or 'end of input'!r},"
+                       f" expected {' '.join(expected) or 'end of input'!r}")
+
+
+def _as_rendered(render):
+    """Accept only text that reads, token for token, as the rendering of
+    what was parsed from it: spacing and blank lines are free."""
+    def check(parse):
+        @functools.wraps(parse)
+        def wrapped(text: str):
+            value = parse(text)
+            rendered = render(value)
+            if rendered.split() != text.split():
+                raise _first_difference(text, rendered)
+            return value
+        return wrapped
+    return check
+
+
+# NormalForm count fields, in the order the counts block lists them
+_COUNT_FIELDS = ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc", "m_abc")
 
 
 def _parse_nf_body(cur: _Cursor) -> dict:
-    counts = {}
-    for key in _COUNT_KEYS:
-        toks = cur.take().split()
-        if len(toks) != 2 or toks[0] != key:
-            raise FormatError(f"expected '{key} <count>'")
-        counts[key] = int(toks[1])
+    """NormalForm fields of one counts/tableaux/roles block."""
+    body = {field: int(cur.take().split()[1]) for field in _COUNT_FIELDS}
     circuits = []
-    while True:
-        nxt = cur.peek()
-        if nxt is None or not nxt.startswith("tableau "):
-            break
-        toks = cur.take().split()
-        count = int(toks[3])
-        circuits.append(tuple(parse_gate(cur.take()) for _ in range(count)))
-    singles = []
-    toks = cur.take().split()
-    if toks[0] != "singles":
-        raise FormatError("expected singles count")
-    for _ in range(int(toks[1])):
-        t = cur.take().split()
-        singles.append((int(t[1]) - 1, int(t[2]) - 1))
-    pairs = []
-    toks = cur.take().split()
-    if toks[0] != "pairs":
-        raise FormatError("expected pairs count")
-    for _ in range(int(toks[1])):
-        t = cur.take().split()
-        pairs.append((int(t[1]) - 1, int(t[2]) - 1, int(t[3]) - 1, int(t[4]) - 1))
-    triples = []
-    toks = cur.take().split()
-    if toks[0] != "triples":
-        raise FormatError("expected triples count")
-    for _ in range(int(toks[1])):
-        t = cur.take().split()
-        triples.append((int(t[1]) - 1, int(t[2]) - 1, int(t[3]) - 1))
-    return {"counts": counts, "singles": tuple(singles), "pairs": tuple(pairs),
-            "triples": tuple(triples), "circuits": tuple(circuits)}
+    while cur.peek() == "tableau":
+        circuits.append(tuple(parse_gate(ln) for ln in cur.block(3)))
+    body["circuits"] = tuple(circuits)
+    for field, width in (("singles", 2), ("pairs", 4), ("triples", 3)):
+        body[field] = tuple(tuple(int(t) - 1 for t in ln.split()[1:1 + width])
+                            for ln in cur.block())
+    return body
 
 
-def _nf_from_body(d: int, n: int, parts, body: dict, factors=(),
-                  derived=False) -> NormalForm:
+def _nf_from_body(d: int, n: int, parts, body: dict, factors=()) -> NormalForm:
     roles = ([q for q, _ in body["singles"]]
              + [q for pair in body["pairs"] for q in pair[2:]]
              + [q for triple in body["triples"] for q in triple])
     if any(not 0 <= q < n for q in roles):
         raise FormatError(f"role qudit outside register of size {n}")
-    c = body["counts"]
-    return NormalForm(
-        d=d, n=n, parts=parts,
-        m_a=c["m_A"], m_b=c["m_B"], m_c=c["m_C"],
-        m_ab=c["m_AB"], m_ac=c["m_AC"], m_bc=c["m_BC"], m_abc=c["m_ABC"],
-        singles=body["singles"], pairs=body["pairs"], triples=body["triples"],
-        circuits=body["circuits"], factors=tuple(factors),
-        composite_counts_derived=derived,
-    )
-
-
-def _parse_parts_block(cur: _Cursor, n: int):
-    toks = cur.take().split()
-    if toks[0] != "parts":
-        raise FormatError("expected parts count")
-    nparts = int(toks[1])
-    parts = []
-    for i in range(nparts):
-        t = cur.take().split()
-        if t[0] != "part" or int(t[1]) != i + 1:
-            raise FormatError(f"expected 'part {i + 1} ...'")
-        if len(t) == 2 or t[2] == "-":
-            parts.append(())
-        else:
-            parts.append(tuple(int(q) - 1 for q in t[2].split(",")))
-    return tuple(parts)
+    return NormalForm(d=d, n=n, parts=parts, factors=tuple(factors), **body)
 
 
 @_text_parser
+@_as_rendered(render_normal_form)
 def parse_normal_form(text: str) -> NormalForm:
-    lines = _expect_magic(_lines(text), "normalform")
-    cur = _Cursor(lines)
+    cur = _Cursor(_expect_magic(_lines(text), "normalform"))
     d, n = _header_ints(cur.take(), ("D", "n"))
-    parts = _parse_parts_block(cur, n)
+    parts = tuple(_index_list(ln.split()[2]) for ln in cur.block())
     if sum(len(part) for part in parts) != n:
         raise FormatError(f"parts do not hold n={n} qudits")
     Partition(n, parts)  # raises ShapeMismatch unless the parts tile the qudits
-    derived = False
-    if cur.peek() == "composite-min true":
+    if cur.peek() == "composite-min":  # rendered exactly when factors follow
         cur.take()
-        derived = True
     body = _parse_nf_body(cur)
     factors = []
-    while cur.peek() is not None and cur.peek().startswith("factor "):
+    while cur.peek() == "factor":
         p = int(cur.take().split()[1])
-        sub_body = _parse_nf_body(cur)
-        if cur.take() != "end-factor":
-            raise FormatError("expected end-factor")
-        factors.append((p, _nf_from_body(p, n, parts, sub_body)))
-    if cur.peek() is not None:
-        raise FormatError(f"trailing content: {cur.peek()!r}")
-    return _nf_from_body(d, n, parts, body, factors, derived)
+        factors.append((p, _nf_from_body(p, n, parts, _parse_nf_body(cur))))
+        cur.take()  # end-factor
+    return _nf_from_body(d, n, parts, body, factors)
 
 
 # ------------------------------------------------------------ channel report
@@ -418,53 +404,22 @@ def render_channel_report(rep: ChannelReport) -> str:
 
 
 @_text_parser
+@_as_rendered(render_channel_report)
 def parse_channel_report(text: str) -> ChannelReport:
-    lines = _expect_magic(_lines(text), "channel")
-    cur = _Cursor(lines)
+    cur = _Cursor(_expect_magic(_lines(text), "channel"))
     d, n, k = _header_ints(cur.take(), ("D", "n", "k"))
-
-    def _part_line(tag: str) -> tuple[int, ...]:
-        toks = cur.take().split()
-        if toks[0] != tag:
-            raise FormatError(f"expected {tag} line")
-        if len(toks) == 1 or toks[1] == "-":
-            return ()
-        return tuple(int(q) - 1 for q in toks[1].split(","))
-
-    out_b = _part_line("B")
-    out_c = _part_line("C")
-    counts = {}
-    for key in ("m_ABC", "m_AB", "m_AC", "m_BC", "m_B", "m_C"):
-        toks = cur.take().split()
-        if toks[0] != key:
-            raise FormatError(f"expected '{key} <count>'")
-        counts[key] = int(toks[1])
-    caps = [cur.take() for _ in range(4)]
-    # the Q_B line sets the relation; every line must read as rendered
-    bounds = caps[0].split()[1:2] == [">="]
-    for line, want in zip(caps, _capacity_lines(
-            d, counts["m_AB"], counts["m_AC"], counts["m_ABC"], bounds)):
-        if line.split() != want.split():
-            raise FormatError(f"expected {want!r}, got {line!r}")
-    info = {}
-    for tag in ("info_B", "info_C"):
-        toks = cur.take().split()
-        if toks[0] != tag:
-            raise FormatError(f"expected {tag} count")
-        info[tag] = tuple(from_text(cur.take(), d) for _ in range(int(toks[1])))
-    toks = cur.take().split()
-    if toks[0] != "input-gates":
-        raise FormatError("expected input-gates count")
-    gates = tuple(parse_gate(cur.take()) for _ in range(int(toks[1])))
-    if cur.peek() is not None:
-        raise FormatError(f"trailing content: {cur.peek()!r}")
-    return ChannelReport(
-        d=d, n=n, k=k, out_b=out_b, out_c=out_c,
-        m_abc=counts["m_ABC"], m_ab=counts["m_AB"], m_ac=counts["m_AC"],
-        m_bc=counts["m_BC"], m_b=counts["m_B"], m_c=counts["m_C"],
-        info_b=info["info_B"], info_c=info["info_C"],
-        input_gates=gates, bounds=bounds,
-    )
+    out_b = _index_list(cur.take().split()[1])
+    out_c = _index_list(cur.take().split()[1])
+    counts = {field: int(cur.take().split()[1])
+              for field in ("m_abc", "m_ab", "m_ac", "m_bc", "m_b", "m_c")}
+    caps = [cur.take() for _ in range(4)]  # Q_B, C_B, Q_C, C_C
+    bounds = caps[0].split()[1] == ">="  # the Q_B line sets the relation
+    info_b = tuple(from_text(ln, d) for ln in cur.block())
+    info_c = tuple(from_text(ln, d) for ln in cur.block())
+    gates = tuple(parse_gate(ln) for ln in cur.block())
+    return ChannelReport(d=d, n=n, k=k, out_b=out_b, out_c=out_c, **counts,
+                         info_b=info_b, info_c=info_c, input_gates=gates,
+                         bounds=bounds)
 
 
 def detect_kind(text: str) -> str:

@@ -8,6 +8,7 @@ the desk-scale cap.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from . import linalg, oracle
@@ -64,12 +65,13 @@ def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
 
 
 def _cut_rank(nf: NormalForm, side) -> int:
-    if nf.factors:
-        rank = 1
-        for p, sub in nf.factors:
-            rank *= p ** sub.crossing_count(side)
-        return rank
-    return nf.d ** nf.crossing_count(side)
+    """The Schmidt rank the normal form gives the cut, or 0 (no state's)
+    when a crossing count exceeds n, as in a tampered report, where the
+    power would be too large to build."""
+    forms = nf.factors or ((nf.d, nf),)
+    if any(sub.crossing_count(side) > nf.n for _, sub in forms):
+        return 0
+    return math.prod(p ** sub.crossing_count(side) for p, sub in forms)
 
 
 def _schmidt_ranks_match(group: StabilizerGroup, nf: NormalForm) -> bool:

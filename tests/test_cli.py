@@ -180,6 +180,33 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
     assert "exactness: MISMATCH" in out
 
 
+def test_oracle_verify_rejects_a_malformed_normal_form(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden"
+    text = (golden / "d10_pivot.nf").read_text()
+    report = tmp_path / "s.nf"
+    report.write_text(text.replace("\ntableau 1 gates 4\n",
+                                   "\ntableau 1 gates 4 7\n"))
+    rc, out, err = run_cli(["oracle-verify", "--report", str(report),
+                            "--state", str(golden / "d10_n6.stab")], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("FormatError: line 26 reads 'tableau 1 gates 4 7'")
+
+
+def test_oracle_verify_rejects_a_count_larger_than_the_register(tmp_path,
+                                                                capsys):
+    # the Schmidt rank D^count of such a count is too large to build
+    golden = Path(__file__).parent / "golden"
+    text = (golden / "d2_bi.nf").read_text()
+    assert "\nm_AB 2\n" in text
+    report = tmp_path / "s.nf"
+    report.write_text(text.replace("\nm_AB 2\n", "\nm_AB 99999999999\n"))
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(golden / "d2_n6.stab")], capsys)
+    assert rc == 1
+    assert "schmidt-ranks: MISMATCH" in out
+
+
 def test_oracle_verify_needs_every_prime_factor(tmp_path, capsys):
     state = tmp_path / "s.stab"
     run_cli(["random-state", "--D", "6", "--n", "6", "--seed", "2",

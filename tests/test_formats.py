@@ -99,6 +99,46 @@ def test_channel_report_capacity_lines_must_match_counts(name, fault):
         formats.parse_channel_report(text.replace(old, new))
 
 
+REPORTS = {".nf": (formats.parse_normal_form, formats.render_normal_form),
+           ".chan": (formats.parse_channel_report, formats.render_channel_report)}
+# the normal-form parser looks ahead for these tags to find its blocks, so a
+# renamed one is rejected where the block it opened fails to parse
+LOOKAHEAD_TAGS = ("composite-min", "tableau", "factor")
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in GOLDEN.iterdir() if path.suffix in REPORTS))
+def test_report_parsers_accept_only_rendered_tokens(name):
+    path = GOLDEN / name
+    parse, render = REPORTS[path.suffix]
+    text = path.read_text()
+    assert render(parse(text)) == text
+    # spacing and blank lines are free
+    assert parse(text.replace(" ", "  ").replace("\n", "\n\n")) == parse(text)
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tag, *rest = line.split()
+        edits = [line + " 7"]
+        if tag != formats.MAGIC and not tag[0].isdigit():  # not a Pauli line
+            edits.append(" ".join(["junk", *rest]))
+        for edit in edits:
+            with pytest.raises(FormatError) as err:
+                parse("\n".join(lines[:i] + [edit] + lines[i + 1:]) + "\n")
+            if edit.endswith(" 7") or tag not in LOOKAHEAD_TAGS:
+                assert edit in str(err.value), (edit, str(err.value))
+
+
+def test_report_parse_error_names_the_line():
+    text = (GOLDEN / "d10_pivot.nf").read_text()
+    assert "\npair 1 3 5 3\n" in text
+    with pytest.raises(FormatError, match="line 61 reads 'junk 1 3 5 3', "
+                                          "expected 'pair 1 3 5 3'"):
+        formats.parse_normal_form(text.replace("\npair 1 3 5 3\n",
+                                               "\njunk 1 3 5 3\n"))
+    with pytest.raises(FormatError, match="expected 'end of input'"):
+        formats.parse_normal_form(text + "triple 1 2 3\n")
+
+
 def test_detect_kind():
     s = ghz_group(2)
     assert formats.detect_kind(formats.render_stabilizer(s)) == "stabilizer"
@@ -122,6 +162,12 @@ def test_parse_errors():
         formats.parse_code("QSTAB1 code\nD 2 n 200000 k 0\nCODING\n")
     with pytest.raises(FormatError):
         formats.parse_graph("QSTAB1 graph\nD 2 n 200000\n")
+    # a count whose capacity line overflows a float
+    chan = (GOLDEN / "pentagon.chan").read_text()
+    assert "\nm_AB 0\n" in chan
+    with pytest.raises(FormatError):
+        formats.parse_channel_report(
+            chan.replace("\nm_AB 0\n", f"\nm_AB {10**400}\n"))
 
 
 PARSERS = {

@@ -22,7 +22,7 @@ from qstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (state file, --parts value); D in {2, 3, 6, 10}, n <= 24.
+# name -> (state file, --parts value); D in {2, 3, 6, 10, 30}, n <= 30.
 # d3_pivot and d10_pivot pin which group elements the extraction picks:
 # eliminating the same rows in another order changes their gates.
 # d3_thirds and d2_halves are `random-state --seed 1` at n = 24 and n = 20,
@@ -47,6 +47,12 @@ NF_CASES = {
     "d2_ghz_rich": ("d2_n29.stab", "10,11,12,15,18,24,25,27,29/"
                                    "1,3,6,8,9,19,20,21,23,28/"
                                    "2,4,5,7,13,14,16,17,22,26"),
+    # `random-state --D 30 --n 12 --seed 1`: three prime factors
+    "d30_thirds": ("d30_n12.stab", "1,2,3,4/5,6,7,8/9,10,11,12"),
+}
+# name -> state file split by `crt-decompose --verify`
+CRT_CASES = {
+    "d30_crt": "d30_n12.stab",
 }
 # name -> extra `channel` flags on the [[5, 1]]_2 pentagon code
 CHANNEL_CASES = {
@@ -84,6 +90,13 @@ def emit_channel(name: str, work: Path) -> dict[str, bytes]:
                                     "--code", code])}
 
 
+def emit_crt(name: str, work: Path) -> dict[str, bytes]:
+    with contextlib.redirect_stdout(io.StringIO()):  # the written paths
+        main(["crt-decompose", "--state", str(GOLDEN / CRT_CASES[name]),
+              "--out-prefix", str(work / name), "--verify"])
+    return {p.name: p.read_bytes() for p in work.glob(f"{name}.*")}
+
+
 def _expected(files: dict[str, bytes]) -> dict[str, bytes]:
     return {f: (GOLDEN / f).read_bytes() for f in files}
 
@@ -93,6 +106,13 @@ def test_normal_form_golden(name, tmp_path):
     files = emit_nf(name, tmp_path)
     stored = sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
     assert sorted(files) == stored
+    assert files == _expected(files)
+
+
+@pytest.mark.parametrize("name", sorted(CRT_CASES))
+def test_crt_golden(name, tmp_path):
+    files = emit_crt(name, tmp_path)
+    assert sorted(files) == sorted(p.name for p in GOLDEN.glob(f"{name}.*"))
     assert files == _expected(files)
 
 
@@ -111,4 +131,7 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
                 (GOLDEN / fname).write_bytes(data)
         for case in CHANNEL_CASES:
             for fname, data in emit_channel(case, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(data)
+        for case in CRT_CASES:
+            for fname, data in emit_crt(case, Path(tmp)).items():
                 (GOLDEN / fname).write_bytes(data)
