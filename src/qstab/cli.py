@@ -72,7 +72,7 @@ def _cmd_crt_decompose(args) -> int:
     group = formats.parse_stabilizer(Path(args.state).read_text())
     factors = decompose_state(group)
     if args.verify:
-        verify.require_all(verify.verify_crt_decomposition(group))
+        verify.require_all(verify.verify_crt_decomposition(group, factors))
     for p, factor in factors:
         path = f"{args.out_prefix}.p{p}.stab"
         Path(path).write_text(formats.render_stabilizer(factor))

@@ -31,6 +31,7 @@ the phase, so no circuit length depends on the size of D.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -194,6 +195,19 @@ def shear_word(q: int, t: int, d: int) -> list[Gate]:
     raise InternalInvariant(f"{t} is not a sum of two squares mod {d}")
 
 
+@functools.cache
+def _w_inverse_word(d: int) -> tuple[Gate, ...]:
+    """W^{-1} on qudit 0, the same word at every qudit. S(-1) F W F W F acts
+    as W^{-1} on (x, z) at every D; W then the word fixes X and Z up to even
+    powers of lambda, which trailing Z and X powers remove."""
+    word = [smult(0, d - 1), fourier(0), phase_w(0), fourier(0), phase_w(0),
+            fourier(0)]
+    x_row, z_row = conjugate_rows([phase_w(0)] + word,
+                                  [to_row(op(d, 1, 0)) for op in (x_op, z_op)], d)
+    return tuple(word + phase_fix(x_row, 0, False, d)
+                 + phase_fix(z_row, 0, True, d))
+
+
 def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     """Expand one gate's inverse in the same alphabet (no dagger forms)."""
     if gate.name == "F":
@@ -201,14 +215,7 @@ def _inverse_gate(gate: Gate, d: int) -> list[Gate]:
     if gate.name == "S":
         return [smult(gate.qudits[0], inv_mod(gate.param, d))]
     if gate.name == "W":
-        q = gate.qudits[0]
-        # S(-1) F W F W F acts as W^{-1} on (x, z) at every D; W then the
-        # word fixes X_q and Z_q up to even powers of lambda, which trailing
-        # Z and X powers remove
-        word = [smult(q, d - 1), fourier(q), gate, fourier(q), gate, fourier(q)]
-        x_row, z_row = conjugate_rows(
-            [gate] + word, [to_row(op(d, q + 1, q)) for op in (x_op, z_op)], d)
-        return word + phase_fix(x_row, q, False, d) + phase_fix(z_row, q, True, d)
+        return [Gate(g.name, gate.qudits, g.param) for g in _w_inverse_word(d)]
     if gate.name == "X":
         return [pauli_x(gate.qudits[0], (-gate.param) % d)]
     if gate.name == "Z":

@@ -6,11 +6,13 @@ lambda = exp(i pi / D)) and is used to cross-check the algebraic fast path at
 desk scale. Tolerances live in two constants: ZERO_TOL for rank/nullity
 decisions and EQ_TOL for entrywise equality.
 
-States and isometries act with Pauli products by index arithmetic
-(_pauli_action); brute-force information groups take one contraction of V
-against conj(V) per input X pattern and one product with the character table
-omega^{z.m}. None of it goes through D^n x D^n matrices, the group
-enumeration or the exact-path Pauli algebra.
+States and isometries act with Pauli products by index arithmetic: one
+_pauli_actions call builds the (idx, phase) actions of all of a group's
+generators together, one broadcast per qudit, with the phases looked up in
+the 2D powers of lambda. Brute-force information groups take, per input X
+pattern, one stacked product of V against V^dag over the input index and one
+product with the character table omega^{z.m}. None of it goes through
+D^n x D^n matrices, the group enumeration or the exact-path Pauli algebra.
 """
 
 from __future__ import annotations
@@ -122,22 +124,30 @@ def clifford_matrix(d: int, n: int, gates) -> np.ndarray:
     return u
 
 
-def _outer_sum(tables) -> np.ndarray:
-    """t[m] = sum_i tables[i][m_i] over big-endian multi-indices m."""
-    out = np.zeros(1, dtype=int)
+def _outer_sum(tables, rows: tuple[int, ...] = ()) -> np.ndarray:
+    """t[..., m] = sum_i tables[i][..., m_i] over big-endian multi-indices m,
+    one sum per index of the leading axes `rows` (one broadcast per table)."""
+    out = np.zeros(rows + (1,), dtype=int)
     for table in tables:
-        out = np.add.outer(out, table).reshape(-1)
+        out = out[..., :, None] + table[..., None, :]
+        out = out.reshape(rows + (out.shape[-2] * out.shape[-1],))
     return out
 
 
-def _pauli_action(p: PauliProduct) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, phase) with p |m> = phase[m] |idx[m]>: X^x Z^z |m> = omega^{z.m}
-    |m - x>, times lambda^gamma, as one exp of a lambda exponent mod 2D."""
-    d = p.d
-    ket = np.arange(d)
-    idx = _outer_sum([(ket - x) % d * w
-                      for x, w in zip(p.x, _digit_weights(d, p.n))])
-    lam_exp = (p.gamma + 2 * _outer_sum([ket * z % d for z in p.z])) % (2 * d)
+def _pauli_actions(paulis, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, phase), one row per Pauli p, with p |m> = phase[m] |idx[m]>:
+    X^x Z^z |m> = omega^{z.m} |m - x>, times lambda^gamma. Phases come from
+    the 2D powers of lambda, or from exp when the entries are fewer; at n = 0,
+    where the dense cap leaves D unbounded, no D-sized table is built."""
+    rows = (len(paulis),)
+    ket = np.arange(d if n else 1)
+    xs, zs = (np.array([getattr(p, f) for p in paulis], dtype=int)
+              .reshape(rows + (n,)).T[:, :, None] for f in "xz")
+    idx = _outer_sum((ket - xs) % d * _digit_weights(d, n)[:, None, None], rows)
+    lam_exp = (np.array([p.gamma for p in paulis], dtype=int)[:, None]
+               + 2 * _outer_sum(ket * zs % d, rows)) % (2 * d)
+    if lam_exp.size > 2 * d:
+        return idx, np.exp(1j * np.pi / d * np.arange(2 * d))[lam_exp]
     return idx, np.exp(1j * np.pi / d * lam_exp)
 
 
@@ -158,13 +168,15 @@ def _orbit_sum(action: tuple[np.ndarray, np.ndarray], v: np.ndarray,
                d: int) -> np.ndarray:
     """sum_{k<D} g^k v by doubling, composing g^m by index arithmetic: with
     S(m) = sum_{k<m} g^k v, S(2m) = S(m) + g^m S(m) and S(m+1) = v + g S(m)."""
-    total, (idx, phase) = v, action
-    for bit in bin(d)[3:]:
+    total, (idx, phase), bits = v, action, bin(d)[3:]
+    for i, bit in enumerate(bits, 1):
         total = total + _act((idx, phase), total)
-        idx, phase = idx[idx], phase[idx] * phase
         if bit == "1":
             total = v + _act(action, total)
-            idx, phase = action[0][idx], action[1][idx] * phase
+        if i < len(bits):  # the power after the last bit goes unused
+            idx, phase = idx[idx], phase[idx] * phase
+            if bit == "1":
+                idx, phase = action[0][idx], action[1][idx] * phase
     return total
 
 
@@ -182,7 +194,7 @@ def state_from_group(group: StabilizerGroup) -> np.ndarray:
     d, dim = group.d, _check_cap(group.d, group.n)
     seed = np.frombuffer(random.Random(0).randbytes(16 * dim), dtype=np.uint64)
     v = (seed / 2.0**64 - 0.5).view(complex)
-    actions = [_pauli_action(g) for g in group.gens]
+    actions = list(zip(*_pauli_actions(group.gens, d, group.n)))
     for action in actions:
         v = _orbit_sum(action, v, d) / d
     norm = np.linalg.norm(v)
@@ -233,8 +245,8 @@ def isometry_from_code(graph_group: StabilizerGroup, coding_gens) -> np.ndarray:
     _check_cap(d, n + k)
     # column (i_1 .. i_j) is f_j^{i_j} on column (i_1 .. i_{j-1}), i_j fastest
     v = state_from_group(graph_group)[:, None]
-    for f in coding_gens:
-        v = np.stack(list(_orbit(_pauli_action(f), v, d)), axis=2).reshape(d**n, -1)
+    for action in zip(*_pauli_actions(coding_gens, d, n)):
+        v = np.stack(list(_orbit(action, v, d)), axis=2).reshape(d**n, -1)
     return v
 
 
@@ -265,21 +277,21 @@ def brute_force_info_group(v_iso: np.ndarray, keep, d: int, n: int,
     """All (x, z) exponent patterns on the k inputs with nonzero channel image.
 
     The image of X^x Z^z is Tr_rest(V X^x Z^z V^dag) = sum_m omega^{z.m}
-    M_x[:, :, m] with M_x[a, b, m] = sum_r V[a, r, m - x] conj(V[b, r, m]):
-    per x, one contraction and one product with the character table. The
-    patterns come in itertools.product order, x outer and z inner.
+    M_x[m] with M_x[m] = V_{m - x} V_m^dag, V_m[a, r] = V[a, r, m]: per x,
+    one stacked product over m and one product with the character table.
+    The patterns come in itertools.product order, x outer and z inner.
     """
-    t = _part_axes(v_iso, keep, d, n)
-    t_conj = t.conj()
+    t = np.ascontiguousarray(np.moveaxis(_part_axes(v_iso, keep, d, n), 2, 0))
+    t_dag = t.conj().transpose(0, 2, 1)
     digits, weights = _digits(d, k), _digit_weights(d, k)
     patterns = list(itertools.product(range(d), repeat=k))
-    # chars[z, m] = omega^{z.m}, symmetric, so M_x @ chars holds every image
+    # chars[z, m] = omega^{z.m}, so chars times the stack is every image
     chars = np.exp(2j * np.pi / d * (digits @ digits.T % d))
     out = []
     for xs, x_digits in zip(patterns, digits):
         shifted = (digits - x_digits) % d @ weights
-        m_x = np.einsum("arm,brm->abm", t[:, :, shifted], t_conj)
-        live = np.max(np.abs(m_x @ chars), axis=(0, 1)) > ZERO_TOL
+        m_x = np.matmul(t[shifted], t_dag).reshape(len(patterns), -1)
+        live = np.max(np.abs(chars @ m_x), axis=1) > ZERO_TOL
         out += [(xs, zs) for zs, on in zip(patterns, live) if on]
     return out
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from qstab import channel, linalg, oracle
+from qstab import channel, linalg, oracle, verify
 from qstab.channel import (
     CodeSpec,
     analyze_channel,
@@ -368,3 +368,24 @@ def test_to_original_input_basis_maps_a_sequence(monkeypatch):
             assert len(calls) == 1
         with pytest.raises(ShapeMismatch):
             to_original_input_basis(an, extra + (x_op(d, k + 1, 0),))
+
+
+def test_channel_check_builds_one_inverse_circuit(monkeypatch):
+    # the brute-force check maps info_B and info_C together: one inverse
+    # input circuit per check, not one per side
+    calls = []
+    real_inverse = channel.inverse_gates
+
+    def counting_inverse(gates, d):
+        calls.append(1)
+        return real_inverse(gates, d)
+
+    monkeypatch.setattr(channel, "inverse_gates", counting_inverse)
+    for d, n, k, seed in ((2, 5, 5, 1), (3, 4, 2, 2), (5, 3, 1, 3)):
+        code = make_code(d, n, k, seed)
+        b, c = random_partition(n, 2, seed)
+        an = analyze_channel(code, b, c)
+        calls.clear()
+        checks = verify.verify_channel_analysis(an)
+        assert ("brute-force-info-groups", True) in checks
+        assert len(calls) == 1

@@ -86,6 +86,35 @@ def test_crt_decompose_files(tmp_path, capsys):
         assert factor.d == p
 
 
+def test_crt_decompose_verifies_the_factors_it_writes(tmp_path, capsys,
+                                                      monkeypatch):
+    # the state is decomposed once, and --verify checks those factors: a
+    # wrong factor state (|+++> in place of the D = 2 GHZ) fails the check
+    # before any file is written
+    from qstab import cli, formats, verify
+    from qstab.stabilizer import ghz_group, plus_state_group
+
+    calls = []
+    real_decompose = cli.decompose_state
+
+    def tampered_decompose(group):
+        calls.append(1)
+        return [(p, plus_state_group(2, 3) if p == 2 else f)
+                for p, f in real_decompose(group)]
+
+    monkeypatch.setattr(cli, "decompose_state", tampered_decompose)
+    monkeypatch.setattr(verify, "decompose_state", tampered_decompose)
+    state = tmp_path / "ghz6.stab"
+    state.write_text(formats.render_stabilizer(ghz_group(6)))
+    code, _, err = run_cli(["crt-decompose", "--state", str(state),
+                            "--out-prefix", str(tmp_path / "ghz6"),
+                            "--verify"], capsys)
+    assert code == 1
+    assert "crt-fidelity" in err
+    assert len(calls) == 1
+    assert not list(tmp_path.glob("ghz6.p*.stab"))
+
+
 def test_channel_verb_and_oracle_verify(tmp_path, capsys):
     from qstab import formats
     from qstab.channel import CodeSpec

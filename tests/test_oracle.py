@@ -242,6 +242,44 @@ def _apply_by_axes(p, v):
 
 
 @st.composite
+def pauli_lists(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
+    n = draw(st.integers(0, max(n for n in range(5) if d**n <= 256)))
+    exps = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    paulis = draw(st.lists(st.builds(lambda x, z, g: from_exponents(d, x, z, g),
+                                     exps, exps, st.integers(0, 2 * d - 1)),
+                           max_size=4))
+    return d, n, paulis
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_lists(), st.integers(0, 2**32 - 1))
+def test_pauli_actions_match_dense_matrices(case, seed):
+    # row i of the batched actions applies paulis[i] as its dense matrix
+    # does, at n = 0 and for an empty list too
+    d, n, paulis = case
+    idx, phase = oracle._pauli_actions(paulis, d, n)
+    assert idx.shape == phase.shape == (len(paulis), d**n)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+    for p, action in zip(paulis, zip(idx, phase)):
+        assert sorted(action[0]) == list(range(d**n))
+        assert oracle.matrices_equal(oracle._act(action, v),
+                                     oracle.pauli_matrix(p) @ v)
+
+
+def test_state_build_at_n_zero_and_large_d():
+    # no qudits: the dense cap leaves D unbounded, and the phases of the
+    # D^0 entries must not cost a table of all 2D powers of lambda
+    d = 2**31 - 1
+    v = oracle.state_from_group(StabilizerGroup(d, 0, ()))
+    assert v.shape == (1,) and abs(abs(v[0]) - 1.0) < 1e-12
+    idx, phase = oracle._pauli_actions([from_exponents(d, [], [], 5)], d, 0)
+    assert idx.tolist() == [[0]]
+    assert np.allclose(phase, np.exp(1j * np.pi * 5 / d))
+
+
+@st.composite
 def dense_states(draw):
     d = draw(st.sampled_from([2, 3, 5, 7, 6, 10, 15, 30]))
     n_max = max(n for n in range(13) if d**n <= oracle.DIMENSION_CAP)
@@ -333,8 +371,7 @@ def test_orbit_sum_by_doubling_matches_literal_sum(d, monkeypatch):
     for seed in range(3):
         group = random_state(d, n, seed)
         v = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
-        for g in group.gens:
-            action = oracle._pauli_action(g)
+        for action in zip(*oracle._pauli_actions(group.gens, d, n)):
             literal, w = v, v
             for _ in range(d - 1):
                 w = oracle._act(action, w)
@@ -393,16 +430,19 @@ def test_brute_force_info_group_property(case):
                                      (7, 2, 0)])
 def test_brute_force_info_group_contracts_once_per_x_pattern(d, n, k,
                                                              monkeypatch):
+    # one stacked product V_{m - x} V_m^dag over m per input X pattern, and
+    # no einsum beside it
     graph, coding = random_code(d, n, k, 1)
     code = CodeSpec(n, k, d, graph, tuple(coding))
     v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
     calls = []
-    real_einsum = np.einsum
+    real_matmul = np.matmul
 
-    def counting_einsum(*args, **kwargs):
-        calls.append(args[0])
-        return real_einsum(*args, **kwargs)
+    def counting_matmul(*args, **kwargs):
+        calls.append(1)
+        return real_matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    monkeypatch.delattr(np, "einsum")
     oracle.brute_force_info_group(v_iso, [0], d, n, k)
     assert len(calls) == d**k
