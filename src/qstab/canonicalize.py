@@ -85,7 +85,8 @@ def check_cover(parts, n: int, base: int = 0,
         seen.add(q)
     missing = [q + base for q in range(n) if q not in seen]
     if missing:
-        raise ShapeMismatch(f"qudits {missing} not covered by {where}")
+        total = f" ({len(missing)} in all)" if len(missing) > 10 else ""
+        raise ShapeMismatch(f"qudits {missing[:10]}{total} not covered by {where}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,10 @@ class Partition:
         check_cover(self.parts, self.n)
         object.__setattr__(self, "parts",
                            tuple(tuple(sorted(p)) for p in self.parts))
+
+
+# NormalForm count fields, in the order reports list them
+COUNT_FIELDS = ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc", "m_abc")
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,17 @@ class NormalForm:
 
     @property
     def counts(self) -> dict[str, int]:
-        return {"m_A": self.m_a, "m_B": self.m_b, "m_C": self.m_c,
-                "m_AB": self.m_ab, "m_AC": self.m_ac, "m_BC": self.m_bc,
-                "m_ABC": self.m_abc}
+        """The counts by report tag: m_ab is tagged m_AB."""
+        return {"m_" + field[2:].upper(): getattr(self, field)
+                for field in COUNT_FIELDS}
+
+    @property
+    def roles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """(part indices, qudits) of every single, pair and triple, in the
+        order the report lists them."""
+        return (tuple(((pi,), (q,)) for q, pi in self.singles)
+                + tuple(((pi, pj), (qx, qy)) for pi, pj, qx, qy in self.pairs)
+                + tuple(((0, 1, 2), triple) for triple in self.triples))
 
     def crossing_count(self, side) -> int:
         """Normal-form factors crossing the cut with the given part indices
@@ -179,8 +192,7 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
             return False
     gates = [g for circuit in nf.circuits for g in circuit]
     rows = conjugate_rows(gates, [to_row(g) for g in group.gens], nf.d)
-    roles = ([(q,) for q, _ in nf.singles]
-             + [(qx, qy) for _, _, qx, qy in nf.pairs] + list(nf.triples))
+    roles = [qudits for _, qudits in nf.roles]
     if (not group.is_state()
             or sorted(q for role in roles for q in role) != list(range(nf.n))):
         return False
@@ -473,13 +485,10 @@ def _composite_normal_form(group: StabilizerGroup,
                            partition: Partition) -> NormalForm:
     factor_forms = [(p, _prime_normal_form(factor, partition))
                     for p, factor in decompose_state(group)]
-    mins = {key: min(nf.counts[key] for _, nf in factor_forms)
-            for key in factor_forms[0][1].counts}
+    mins = {field: min(getattr(nf, field) for _, nf in factor_forms)
+            for field in COUNT_FIELDS}
     return NormalForm(
-        d=group.d, n=group.n, parts=partition.parts,
-        m_a=mins["m_A"], m_b=mins["m_B"], m_c=mins["m_C"],
-        m_ab=mins["m_AB"], m_ac=mins["m_AC"], m_bc=mins["m_BC"],
-        m_abc=mins["m_ABC"],
+        d=group.d, n=group.n, parts=partition.parts, **mins,
         singles=(), pairs=(), triples=(), circuits=(),
         factors=tuple(factor_forms),
     )

@@ -46,7 +46,12 @@ from .modring import inv_mod, is_prime, sqrt_mod
 from .pauli import PauliProduct, from_row, to_row, x_op, z_op
 from .stabilizer import checked_part
 
-GATE_NAMES = ("F", "S", "W", "X", "Z", "CP", "CNOT")
+# gate name -> (qudit count, whether the gate takes a parameter), in
+# alphabet order; the gate files and conjugate_rows read shapes only here
+GATE_SHAPES = {"F": (1, False), "S": (1, True), "W": (1, False),
+               "X": (1, True), "Z": (1, True), "CP": (2, True),
+               "CNOT": (2, False)}
+GATE_NAMES = tuple(GATE_SHAPES)
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,9 @@ def conjugate_rows(gates, rows, d: int) -> list[list[int]]:
         raise ShapeMismatch("conjugated rows differ in width")
     gates = list(gates)
     for gate in gates:
-        if gate.name not in GATE_NAMES:
-            raise ShapeMismatch(f"unknown gate {gate.name!r}")
+        width, _ = GATE_SHAPES.get(gate.name, (-1, False))
+        if len(gate.qudits) != width:
+            raise ShapeMismatch(f"no {len(gate.qudits)}-qudit gate {gate.name!r}")
         for q in gate.qudits:
             if not 0 <= q < n:
                 raise IndexOutOfRange(f"qudit {q} outside register of size {n}")

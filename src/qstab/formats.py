@@ -1,12 +1,13 @@
 """Text file formats, all under the QSTAB1 magic.
 
-One format family: stabilizer files, graph files, code files, gate lists,
+One format family: stabilizer files, code files (graph edges `i j w` and
+coding generators), gate lists (shapes from clifford.GATE_SHAPES),
 normal-form reports, and channel reports. Qudit and part indices are 1-based
 in files (0-based in memory). Output is byte-stable: rendering the parse of a
 rendered value reproduces the bytes, which is what the golden-file tests pin.
 The two report parsers check their input by rendering what they read: the
 text must match that rendering token for token (spacing and blank lines are
-free). Input files (stabilizer, graph, code) accept unreduced exponents.
+free). Input files (stabilizer, code) accept unreduced exponents.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .canonicalize import NormalForm, Partition
+from .canonicalize import COUNT_FIELDS, NormalForm, Partition
 from .channel import ChannelAnalysis, CodeSpec
-from .clifford import Gate
+from .clifford import GATE_SHAPES, Gate
 from .errors import FormatError
 from .modring import factorize
 from .pauli import PauliProduct, from_text, to_text
@@ -88,19 +89,14 @@ def parse_stabilizer(text: str) -> StabilizerGroup:
     return StabilizerGroup(d, n, tuple(gens))
 
 
-# --------------------------------------------------------------------- graph
+# ---------------------------------------------------------------------- code
 
 def _edge_lines(adj: GraphAdjacency) -> list[str]:
     return [f"{i + 1} {j + 1} {adj.weights[i][j]}" for i in range(adj.n)
             for j in range(i + 1, adj.n) if adj.weights[i][j]]
 
 
-def render_graph(adj: GraphAdjacency, d: int) -> str:
-    out = [f"{MAGIC} graph", f"D {d} n {adj.n}", *_edge_lines(adj)]
-    return "\n".join(out) + "\n"
-
-
-MAX_GRAPH_N = 1024  # graph and code files build a dense n x n adjacency
+MAX_GRAPH_N = 1024  # code files build a dense n x n adjacency
 
 
 def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
@@ -117,15 +113,6 @@ def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
         edges.append((i - 1, j - 1, w))
     return GraphAdjacency.from_edges(n, edges)
 
-
-@_text_parser
-def parse_graph(text: str) -> tuple[GraphAdjacency, int]:
-    lines = _expect_magic(_lines(text), "graph")
-    d, n = _header_ints(lines[0], ("D", "n"))
-    return _parse_edges(lines[1:], n), d
-
-
-# ---------------------------------------------------------------------- code
 
 def render_code(code: CodeSpec) -> str:
     out = [f"{MAGIC} code", f"D {code.d} n {code.n} k {code.k}",
@@ -153,25 +140,20 @@ def parse_code(text: str) -> CodeSpec:
 # --------------------------------------------------------------------- gates
 
 def render_gate(g: Gate) -> str:
-    qs = " ".join(str(q + 1) for q in g.qudits)
-    if g.name in ("F", "W", "CNOT"):
-        return f"{g.name} {qs}"
-    return f"{g.name} {qs} {g.param}"
+    toks = [g.name, *(str(q + 1) for q in g.qudits)]
+    if GATE_SHAPES[g.name][1]:
+        toks.append(str(g.param))
+    return " ".join(toks)
 
 
 @_text_parser
 def parse_gate(line: str) -> Gate:
-    toks = line.split()
-    name = toks[0]
-    if name in ("F", "W") and len(toks) == 2:
-        return Gate(name, (int(toks[1]) - 1,))
-    if name in ("S", "X", "Z") and len(toks) == 3:
-        return Gate(name, (int(toks[1]) - 1,), int(toks[2]))
-    if name == "CNOT" and len(toks) == 3:
-        return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1))
-    if name == "CP" and len(toks) == 4:
-        return Gate(name, (int(toks[1]) - 1, int(toks[2]) - 1), int(toks[3]))
-    raise FormatError(f"unrecognized gate line {line!r}")
+    name, *toks = line.split()
+    width, takes_param = GATE_SHAPES.get(name, (-1, False))
+    if len(toks) != width + takes_param:
+        raise FormatError(f"unrecognized gate line {line!r}")
+    qudits = tuple(int(t) - 1 for t in toks[:width])
+    return Gate(name, qudits, int(toks[-1]) if takes_param else 0)
 
 
 def render_gates(d: int, n: int, gates) -> str:
@@ -285,13 +267,9 @@ def _as_rendered(render):
     return check
 
 
-# NormalForm count fields, in the order the counts block lists them
-_COUNT_FIELDS = ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc", "m_abc")
-
-
 def _parse_nf_body(cur: _Cursor) -> dict:
     """NormalForm fields of one counts/tableaux/roles block."""
-    body = {field: int(cur.take().split()[1]) for field in _COUNT_FIELDS}
+    body = {field: int(cur.take().split()[1]) for field in COUNT_FIELDS}
     circuits = []
     while cur.peek() == "tableau":
         circuits.append(tuple(parse_gate(ln) for ln in cur.block(3)))
@@ -303,12 +281,10 @@ def _parse_nf_body(cur: _Cursor) -> dict:
 
 
 def _nf_from_body(d: int, n: int, parts, body: dict, factors=()) -> NormalForm:
-    roles = ([q for q, _ in body["singles"]]
-             + [q for pair in body["pairs"] for q in pair[2:]]
-             + [q for triple in body["triples"] for q in triple])
-    if any(not 0 <= q < n for q in roles):
+    nf = NormalForm(d=d, n=n, parts=parts, factors=tuple(factors), **body)
+    if any(not 0 <= q < n for _, qudits in nf.roles for q in qudits):
         raise FormatError(f"role qudit outside register of size {n}")
-    return NormalForm(d=d, n=n, parts=parts, factors=tuple(factors), **body)
+    return nf
 
 
 @_text_parser
@@ -332,6 +308,11 @@ def parse_normal_form(text: str) -> NormalForm:
 
 
 # ------------------------------------------------------------ channel report
+
+# the channel report's count tags, in report order; ChannelReport's fields
+# are the tags in lower case
+CHANNEL_COUNTS = ("m_ABC", "m_AB", "m_AC", "m_BC", "m_B", "m_C")
+
 
 @dataclass(frozen=True)
 class ChannelReport:
@@ -360,8 +341,7 @@ def report_from_analysis(analysis: ChannelAnalysis,
     return ChannelReport(
         d=analysis.code.d, n=analysis.code.n, k=analysis.code.k,
         out_b=analysis.out_b, out_c=analysis.out_c,
-        m_abc=nf.m_abc, m_ab=nf.m_ab, m_ac=nf.m_ac,
-        m_bc=nf.m_bc, m_b=nf.m_b, m_c=nf.m_c,
+        **{tag.lower(): nf.counts[tag] for tag in CHANNEL_COUNTS},
         info_b=analysis.info_b, info_c=analysis.info_c,
         input_gates=nf.circuits[0],
         bounds=bounds,
@@ -388,10 +368,8 @@ def render_channel_report(rep: ChannelReport) -> str:
     out = [f"{MAGIC} channel", f"D {rep.d} n {rep.n} k {rep.k}"]
     out.append("B " + (",".join(str(q + 1) for q in rep.out_b) or "-"))
     out.append("C " + (",".join(str(q + 1) for q in rep.out_c) or "-"))
-    for key, val in (("m_ABC", rep.m_abc), ("m_AB", rep.m_ab),
-                     ("m_AC", rep.m_ac), ("m_BC", rep.m_bc),
-                     ("m_B", rep.m_b), ("m_C", rep.m_c)):
-        out.append(f"{key} {val}")
+    for tag in CHANNEL_COUNTS:
+        out.append(f"{tag} {getattr(rep, tag.lower())}")
     out.extend(_capacity_lines(rep.d, rep.m_ab, rep.m_ac, rep.m_abc,
                                rep.bounds))
     out.append(f"info_B {len(rep.info_b)}")
@@ -410,8 +388,7 @@ def parse_channel_report(text: str) -> ChannelReport:
     d, n, k = _header_ints(cur.take(), ("D", "n", "k"))
     out_b = _index_list(cur.take().split()[1])
     out_c = _index_list(cur.take().split()[1])
-    counts = {field: int(cur.take().split()[1])
-              for field in ("m_abc", "m_ab", "m_ac", "m_bc", "m_b", "m_c")}
+    counts = {tag.lower(): int(cur.take().split()[1]) for tag in CHANNEL_COUNTS}
     caps = [cur.take() for _ in range(4)]  # Q_B, C_B, Q_C, C_C
     bounds = caps[0].split()[1] == ">="  # the Q_B line sets the relation
     info_b = tuple(from_text(ln, d) for ln in cur.block())

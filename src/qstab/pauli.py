@@ -151,10 +151,6 @@ def commutation_phase(p: PauliProduct, q: PauliProduct) -> int:
     return alpha % p.d
 
 
-def commute(p: PauliProduct, q: PauliProduct) -> bool:
-    return commutation_phase(p, q) == 0
-
-
 def order(p: PauliProduct) -> int:
     """Smallest a in [1, D] with p^a proportional to the identity.
 

@@ -118,7 +118,8 @@ class StabilizerGroup:
         return out
 
     def is_state(self) -> bool:
-        return self.size == self.d ** self.n
+        # each order divides D: fewer than n generators never reach D^n
+        return len(self.gens) >= self.n and self.size == self.d ** self.n
 
 
 def _sylow_rows(gens, p: int, d: int) -> list[list[int]]:

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 
 from . import linalg, oracle
-from .canonicalize import NormalForm, is_exact
+from .canonicalize import COUNT_FIELDS, NormalForm, is_exact
 from .channel import ChannelAnalysis, to_original_input_basis, verify_duality
 from .crt import decompose_state
 from .errors import InternalInvariant
@@ -26,14 +26,11 @@ def _qudit_conservation(nf: NormalForm) -> bool:
     table (singles, pairs and triples), and every role's qudits lie in the
     parts it names."""
     parts = [set(p) for p in nf.parts] + [set()] * (3 - len(nf.parts))
-    roles = ([((pi,), (q,)) for q, pi in nf.singles]
-             + [((pi, pj), (qx, qy)) for pi, pj, qx, qy in nf.pairs]
-             + [((0, 1, 2), triple) for triple in nf.triples])
     if not all(0 <= i < 3 and q in parts[i]
-               for names, qudits in roles for i, q in zip(names, qudits)):
+               for names, qudits in nf.roles for i, q in zip(names, qudits)):
         return False
     tally = Counter("m_" + "".join("ABC"[i] for i in names)
-                    for names, _ in roles)
+                    for names, _ in nf.roles)
     return (tally == Counter({k: m for k, m in nf.counts.items() if m})
             and all(sum(m for key, m in nf.counts.items() if tag in key[2:])
                     == len(part) for tag, part in zip("ABC", parts)))
@@ -48,8 +45,7 @@ def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
         checks.append(("composite-counts-min", all(
             getattr(nf, field) == min(getattr(sub, field)
                                       for _, sub in nf.factors)
-            for field in ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc",
-                          "m_abc"))))
+            for field in COUNT_FIELDS)))
         factor_groups = decompose_state(group)
         primes = [p for p, _ in factor_groups]
         checks.append(("per-factor-exactness",

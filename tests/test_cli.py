@@ -389,6 +389,22 @@ def test_parts_errors_name_one_based_qudits(tmp_path, capsys, parts, message):
     assert err == f"ShapeMismatch: {message}\n"
 
 
+def test_header_only_state_fails_fast_and_briefly(tmp_path, capsys):
+    # D^n here has 31 million bits: neither the state check nor the cover
+    # message may build or name anything of size n
+    state = tmp_path / "huge.stab"
+    state.write_text("QSTAB1 stabilizer\nD 2147483647 n 1000000 gens 0\n")
+    rc, out, err = run_cli(["crt-decompose", "--state", str(state),
+                            "--out-prefix", str(tmp_path / "huge")], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("NotAState: ")
+    rc, out, err = run_cli(["canonicalize", "--state", str(state),
+                            "--parts", "1/2"], capsys)
+    assert (rc, out) == (1, "")
+    assert err == ("ShapeMismatch: qudits [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
+                   " (999998 in all) not covered by --parts\n")
+
+
 @pytest.mark.parametrize("b, c, message", [
     ("1,5", "2,3,4", "qudit 5 outside register of size 4"),
     ("1,2", "2,3,4", "qudit 2 appears twice in --B and --C"),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qstab import oracle
 from qstab.clifford import (
     GATE_NAMES,
+    GATE_SHAPES,
     Gate,
     cnot,
     conjugate,
@@ -363,6 +364,16 @@ def reference_conjugate(gates, p):
             x[r] -= x[q]
         p = from_exponents(d, x, z, gamma)
     return p
+
+
+@pytest.mark.parametrize("name", GATE_SHAPES)
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_conjugate_rows_rejects_wrong_qudit_count(name, extra):
+    # a CP of a qudit with itself, or an F on two qudits, is no gate
+    width = GATE_SHAPES[name][0]
+    gate = Gate(name, tuple(range(width + extra)), 1)
+    with pytest.raises(ShapeMismatch):
+        conjugate_rows([gate], [to_row(x_op(3, 3, 0))], 3)
 
 
 @st.composite

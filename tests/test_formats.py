@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from qstab import formats
 from qstab.canonicalize import tripartition_normal_form
 from qstab.channel import CodeSpec, analyze_channel
-from qstab.clifford import cnot, cphase, fourier, pauli_x, pauli_z, phase_w, smult
+from qstab.clifford import (GATE_SHAPES, Gate, cnot, cphase, fourier, pauli_x,
+                            pauli_z, phase_w, smult)
 from qstab.errors import FormatError, QstabError
 from qstab.pauli import z_op
 from qstab.randgen import random_code, random_state
@@ -26,14 +27,6 @@ def test_stabilizer_round_trip():
             assert formats.render_stabilizer(formats.parse_stabilizer(text)) == text
 
 
-def test_graph_round_trip():
-    adj = GraphAdjacency.from_edges(4, [(0, 1, 1), (1, 3, 2), (0, 2, 5)])
-    text = formats.render_graph(adj, 6)
-    back, d = formats.parse_graph(text)
-    assert back == adj and d == 6
-    assert formats.render_graph(back, d) == text
-
-
 def test_code_round_trip():
     graph, coding = random_code(3, 4, 2, 5)
     code = CodeSpec(4, 2, 3, graph, tuple(coding))
@@ -49,6 +42,28 @@ def test_gates_round_trip():
     d, n, back = formats.parse_gates(text)
     assert (d, n) == (3, 3)
     assert back == gates
+
+
+@pytest.mark.parametrize("name", GATE_SHAPES)
+def test_each_gate_shape_round_trips(name):
+    width, takes_param = GATE_SHAPES[name]
+    gate = Gate(name, tuple(range(2, 2 + width)), 5 if takes_param else 0)
+    line = formats.render_gate(gate)
+    assert len(line.split()) == 1 + width + takes_param
+    assert formats.parse_gate(line) == gate
+
+
+@pytest.mark.parametrize("name", ["d3_pivot.nf", "d2_ghz_rich.nf"])
+def test_roles_follow_the_report_order(name):
+    text = (GOLDEN / name).read_text()
+    # the role lines as the report lists them, as 0-based (parts, qudits)
+    want = []
+    for tag, *toks in (ln.split() for ln in text.splitlines()):
+        if tag in ("single", "pair", "triple"):
+            q = tuple(int(t) - 1 for t in toks)
+            want.append({"single": (q[1:], q[:1]), "pair": (q[:2], q[2:]),
+                         "triple": ((0, 1, 2), q)}[tag])
+    assert formats.parse_normal_form(text).roles == tuple(want)
 
 
 def test_normal_form_round_trip_prime_and_composite():
@@ -152,7 +167,7 @@ def test_parse_errors():
     with pytest.raises(FormatError):
         formats.parse_stabilizer("QSTAB1 stabilizer\nD 2 n 2 gens 1\n")
     with pytest.raises(FormatError):
-        formats.parse_graph("QSTAB1 graph\nD 2 n 2\n2 1 1\n")
+        formats.parse_code("QSTAB1 code\nD 2 n 2 k 0\n2 1 1\nCODING\n")
     with pytest.raises(FormatError):
         formats.parse_gate("Q 1")
     with pytest.raises(FormatError):
@@ -160,8 +175,6 @@ def test_parse_errors():
     # n bounded by nothing in the text must not reach the n x n adjacency
     with pytest.raises(FormatError):
         formats.parse_code("QSTAB1 code\nD 2 n 200000 k 0\nCODING\n")
-    with pytest.raises(FormatError):
-        formats.parse_graph("QSTAB1 graph\nD 2 n 200000\n")
     # a count whose capacity line overflows a float
     chan = (GOLDEN / "pentagon.chan").read_text()
     assert "\nm_AB 0\n" in chan
@@ -177,7 +190,7 @@ PARSERS = {
     "nf": formats.parse_normal_form,
     "chan": formats.parse_channel_report,
 }
-ALL_PARSERS = list(PARSERS.values()) + [formats.parse_graph, formats.parse_gate]
+ALL_PARSERS = list(PARSERS.values()) + [formats.parse_gate]
 GOLDEN_TEXTS = sorted((path.suffix[1:], path.read_text())
                       for path in GOLDEN.iterdir() if path.suffix[1:] in PARSERS)
 TOKENS = list("0123456789 -|,\n") + ["S", "W", "CNOT", "tableau", "part",
