@@ -31,9 +31,10 @@ rows and re-echelons only the rows on the part. A GHZ step starts from
 the canonical natural-order rows, takes the BC subgroup, and reads both
 partners off one elimination on C's columns and one on B's.
 
-Squarefree composite D runs per prime factor after CRT decomposition; the
-composite counts are reported as the componentwise minimum across factors
-(the per-factor results remain ground truth and are carried along).
+Every D runs one prime at a time, on the CRT factors of the state (a
+prime-D state is its only factor). At squarefree composite D the counts are
+the componentwise minimum across factors; the per-factor forms remain
+ground truth and ride along, and `NormalForm.forms` lists them at any D.
 
 All tie-breaks are fixed (lowest generator index, lowest qudit index), so
 identical inputs produce identical normal forms. Every prime-D run ends with
@@ -55,8 +56,6 @@ from .crt import decompose_state
 from .errors import (
     InternalInvariant,
     NonPrimeD,
-    NotAState,
-    NotSquarefree,
     PreconditionViolated,
     ShapeMismatch,
 )
@@ -113,8 +112,8 @@ class NormalForm:
     """Counts, per-part unitaries, and the qudit role assignment.
 
     For composite D, `factors` holds the per-prime normal forms (ground
-    truth); the top-level counts are then the componentwise minimum, which
-    `composite_counts_derived` reports.
+    truth) and the form has no roles or circuits; its counts are their
+    componentwise minimum, which `composite_counts_derived` reports.
     """
 
     d: int
@@ -127,10 +126,10 @@ class NormalForm:
     m_ac: int
     m_bc: int
     m_abc: int
-    singles: tuple[tuple[int, int], ...]
-    pairs: tuple[tuple[int, int, int, int], ...]
-    triples: tuple[tuple[int, int, int], ...]
-    circuits: tuple[tuple[Gate, ...], ...]
+    singles: tuple[tuple[int, int], ...] = ()
+    pairs: tuple[tuple[int, int, int, int], ...] = ()
+    triples: tuple[tuple[int, int, int], ...] = ()
+    circuits: tuple[tuple[Gate, ...], ...] = ()
     factors: tuple[tuple[int, "NormalForm"], ...] = ()
     # the input this very object passed the built-in exactness check
     # against; parsing, replace() and construction leave it unset
@@ -140,6 +139,11 @@ class NormalForm:
     @property
     def composite_counts_derived(self) -> bool:
         return bool(self.factors)
+
+    @property
+    def forms(self) -> tuple[tuple[int, "NormalForm"], ...]:
+        """(prime, form) per prime factor of D; at prime D, the form itself."""
+        return self.factors or ((self.d, self),)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -170,8 +174,10 @@ class NormalForm:
 
 
 def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
-    """Each part's circuit acts inside its part, and the input conjugated by
-    the circuits equals the normal-form group bit-exactly (prime D).
+    """The input is a state with the form's D and n, and at prime D each
+    part's circuit acts inside its part and the input conjugated by the
+    circuits equals the normal-form group bit-exactly. At composite D each
+    factor form is exact for the input's CRT factor at its prime.
 
     The part circuits are replayed one after another over the input
     generators; their supports are disjoint, so the order does not matter.
@@ -184,7 +190,14 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
     """
     if nf._exact_for is not None and nf._exact_for == group:
         return True
-    if len(nf.circuits) != len(nf.parts) or (group.d, group.n) != (nf.d, nf.n):
+    if (group.d, group.n) != (nf.d, nf.n) or not group.is_state():
+        return False
+    if nf.factors:
+        factors = decompose_state(group)
+        return ([p for p, _ in factors] == [p for p, _ in nf.factors]
+                and all(is_exact(factor, sub) for (_, factor), (_, sub)
+                        in zip(factors, nf.factors)))
+    if len(nf.circuits) != len(nf.parts):
         return False
     for part, circuit in zip(nf.parts, nf.circuits):
         allowed = set(part)
@@ -193,8 +206,7 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
     gates = [g for circuit in nf.circuits for g in circuit]
     rows = conjugate_rows(gates, [to_row(g) for g in group.gens], nf.d)
     roles = [qudits for _, qudits in nf.roles]
-    if (not group.is_state()
-            or sorted(q for role in roles for q in role) != list(range(nf.n))):
+    if sorted(q for role in roles for q in role) != list(range(nf.n)):
         return False
     n, d = nf.n, nf.d
     return all(row[0] == 0 and all(
@@ -481,29 +493,20 @@ def _prime_normal_form(group: StabilizerGroup,
     return nf
 
 
-def _composite_normal_form(group: StabilizerGroup,
-                           partition: Partition) -> NormalForm:
-    factor_forms = [(p, _prime_normal_form(factor, partition))
-                    for p, factor in decompose_state(group)]
-    mins = {field: min(getattr(nf, field) for _, nf in factor_forms)
-            for field in COUNT_FIELDS}
-    return NormalForm(
-        d=group.d, n=group.n, parts=partition.parts, **mins,
-        singles=(), pairs=(), triples=(), circuits=(),
-        factors=tuple(factor_forms),
-    )
-
-
 def _normal_form(group: StabilizerGroup, parts) -> NormalForm:
-    if not group.is_state():
-        raise NotAState(f"group size {group.size} != {group.d}^{group.n}")
+    factors = decompose_state(group)
     partition = Partition(group.n, tuple(tuple(p) for p in parts))
-    mod = factorize(group.d)
-    if not mod.squarefree:
-        raise NotSquarefree(f"D = {group.d} is not squarefree")
-    if mod.is_prime:
-        return _prime_normal_form(group, partition)
-    return _composite_normal_form(group, partition)
+    forms = tuple((p, _prime_normal_form(factor, partition))
+                  for p, factor in factors)
+    if len(forms) == 1:
+        return forms[0][1]
+    mins = {field: min(getattr(sub, field) for _, sub in forms)
+            for field in COUNT_FIELDS}
+    nf = NormalForm(d=group.d, n=group.n, parts=partition.parts,
+                    factors=forms, **mins)
+    # every factor passed the built-in check against its factor state
+    object.__setattr__(nf, "_exact_for", group)
+    return nf
 
 
 def bipartition_normal_form(group: StabilizerGroup, part_a,

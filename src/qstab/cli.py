@@ -59,8 +59,7 @@ def _cmd_canonicalize(args) -> int:
     if args.verify:
         verify.require_all(verify.verify_normal_form(group, nf))
     if args.emit_gates:
-        sources = nf.factors if nf.factors else [(nf.d, nf)]
-        for p, sub in sources:
+        for p, sub in nf.forms:
             for i, circuit in enumerate(sub.circuits):
                 path = f"{args.emit_gates}.p{p}.part{i + 1}.gates"
                 Path(path).write_text(formats.render_gates(p, nf.n, circuit))

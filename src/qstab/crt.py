@@ -89,7 +89,7 @@ def decompose_group(group: StabilizerGroup) -> list[tuple[int, StabilizerGroup]]
 
 
 def decompose_state(group: StabilizerGroup) -> list[tuple[int, StabilizerGroup]]:
-    """Per-prime factor states of a stabilizer state at composite D."""
+    """Per-prime factor states of a stabilizer state; at prime D, the state."""
     if not group.is_state():
         raise NotAState(f"group size {group.size} != {group.d}^{group.n}")
     factors = decompose_group(group)

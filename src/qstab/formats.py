@@ -61,8 +61,9 @@ def _header_ints(line: str, keys: tuple[str, ...]) -> list[int]:
         vals = [int(t) for t in toks[1::2]]
     except ValueError as exc:
         raise FormatError(f"bad integer in header {line!r}") from exc
-    if "D" in keys:
-        factorize(vals[keys.index("D")])  # raises InvalidDimension
+    factorize(vals[0])  # every header leads with D; raises InvalidDimension
+    if min(vals[1:]) < 0:
+        raise FormatError(f"negative count in header {line!r}")
     return vals
 
 

@@ -50,7 +50,6 @@ def echelon(rows: list[list[int]], columns, p: int,
     pivot entry 1 mod p and every other pivot entry 0 mod p; `rest` holds the
     other rows, reduced to 0 mod p on `columns`.
     """
-    position = {c: i for i, c in enumerate(columns)}
     basis: list[tuple[int, list[int]]] = []
     rest: list[list[int]] = []
     for row in rows:
@@ -69,7 +68,9 @@ def echelon(rows: list[list[int]], columns, p: int,
             if f:
                 basis[i] = (ci, _times_power(other, head, -f, d))
         basis.append((c, head))
-    basis.sort(key=lambda entry: position[entry[0]])
+    if len(basis) > 1:
+        position = {c: i for i, c in enumerate(columns)}
+        basis.sort(key=lambda entry: position[entry[0]])
     return [row for _, row in basis], [c for c, _ in basis], rest
 
 

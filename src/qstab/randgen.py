@@ -23,7 +23,7 @@ from .clifford import (
     phase_w,
     smult,
 )
-from .errors import InvalidCode, NonPrimeD
+from .errors import InvalidCode, NonPrimeD, ShapeMismatch
 from .pauli import PauliProduct, from_exponents, from_row, to_row
 from .stabilizer import GraphAdjacency, StabilizerGroup, from_graph
 from . import linalg
@@ -91,6 +91,8 @@ def scramble_group(group: StabilizerGroup, gates) -> StabilizerGroup:
 def random_state(d: int, n: int, seed: int) -> StabilizerGroup:
     """Seed-deterministic random stabilizer state on n qudits."""
     factorize(d)  # raises InvalidDimension
+    if n < 0:
+        raise ShapeMismatch(f"n = {n} qudits is negative")
     rng = random.Random(seed)
     group = from_graph(random_graph(d, n, rng), d)
     gates = random_single_qudit_gates(d, range(n), rng, 3 * n)
@@ -110,8 +112,10 @@ def random_code(d: int, n: int, k: int, seed: int):
     mod = factorize(d)
     if not mod.is_prime:
         raise NonPrimeD("random codes are generated at prime D")
-    if k > n:
-        raise InvalidCode(f"k = {k} exceeds n = {n}")
+    if n < 0:
+        raise ShapeMismatch(f"n = {n} qudits is negative")
+    if not 0 <= k <= n:
+        raise InvalidCode(f"k = {k} outside 0..n = {n}")
     rng = random.Random(seed)
     graph = random_graph(d, n, rng)
     rows: list[list[int]] = []

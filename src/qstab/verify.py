@@ -14,7 +14,6 @@ from collections import Counter
 from . import linalg, oracle
 from .canonicalize import COUNT_FIELDS, NormalForm, is_exact
 from .channel import ChannelAnalysis, to_original_input_basis, verify_duality
-from .crt import decompose_state
 from .errors import InternalInvariant
 from .stabilizer import StabilizerGroup
 
@@ -37,25 +36,19 @@ def _qudit_conservation(nf: NormalForm) -> bool:
 
 
 def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
-    """Re-check a normal form against its input state."""
-    checks: list[Check] = []
+    """Re-check a normal form against its input state: the per-prime forms
+    conserve qudits, composite counts are their minimum, the form is exact
+    (factor by factor at composite D), and the dense Schmidt ranks agree."""
+    checks: list[Check] = [("qudit-conservation", all(
+        _qudit_conservation(sub) for _, sub in nf.forms))]
+    exactness = "exactness"
     if nf.factors:
-        checks.append(("qudit-conservation",
-                       all(_qudit_conservation(sub) for _, sub in nf.factors)))
         checks.append(("composite-counts-min", all(
             getattr(nf, field) == min(getattr(sub, field)
                                       for _, sub in nf.factors)
             for field in COUNT_FIELDS)))
-        factor_groups = decompose_state(group)
-        primes = [p for p, _ in factor_groups]
-        checks.append(("per-factor-exactness",
-                       [p for p, _ in nf.factors] == primes and all(
-                           is_exact(sub_group, sub_nf)
-                           for (_, sub_nf), (_, sub_group)
-                           in zip(nf.factors, factor_groups))))
-    else:
-        checks.append(("qudit-conservation", _qudit_conservation(nf)))
-        checks.append(("exactness", is_exact(group, nf)))
+        exactness = "per-factor-exactness"
+    checks.append((exactness, is_exact(group, nf)))
     if group.d ** group.n > oracle.DIMENSION_CAP:
         return checks + [("schmidt-ranks-skipped", True)]
     return checks + [("schmidt-ranks", _schmidt_ranks_match(group, nf))]
@@ -65,10 +58,9 @@ def _cut_rank(nf: NormalForm, side) -> int:
     """The Schmidt rank the normal form gives the cut, or 0 (no state's)
     when a crossing count exceeds n, as in a tampered report, where the
     power would be too large to build."""
-    forms = nf.factors or ((nf.d, nf),)
-    if any(sub.crossing_count(side) > nf.n for _, sub in forms):
+    if any(sub.crossing_count(side) > nf.n for _, sub in nf.forms):
         return 0
-    return math.prod(p ** sub.crossing_count(side) for p, sub in forms)
+    return math.prod(p ** sub.crossing_count(side) for p, sub in nf.forms)
 
 
 def _schmidt_ranks_match(group: StabilizerGroup, nf: NormalForm) -> bool:

@@ -422,6 +422,38 @@ def test_exactness_replays_once_per_built_form(monkeypatch):
     assert calls == [5, 5, 5]
 
 
+def test_composite_exactness_checks_every_factor(monkeypatch):
+    import qstab.canonicalize as canonicalize
+
+    s = random_state(6, 5, 7)
+    nf = tripartition_normal_form(s, [0, 1], [2, 3], [4])
+    assert [p for p, _ in nf.forms] == [2, 3] and nf.forms == nf.factors
+    calls = []
+    real = canonicalize.decompose_state
+
+    def counting(group):
+        calls.append(group.d)
+        return real(group)
+
+    monkeypatch.setattr(canonicalize, "decompose_state", counting)
+    # the built form passed the check when it was built: no decomposition
+    assert is_exact(s, nf) and not calls
+    # a copy or a parsed report is checked factor by factor
+    assert is_exact(s, dataclasses.replace(nf))
+    assert is_exact(s, parse_normal_form(render_normal_form(nf)))
+    assert calls == [6, 6]
+    assert not is_exact(s, dataclasses.replace(nf, factors=nf.factors[1:]))
+    assert not is_exact(random_state(6, 5, 8), nf)
+    for d in (2, 10):
+        assert not is_exact(s, dataclasses.replace(nf, d=d))
+
+
+def test_prime_forms_are_the_form_itself():
+    s = random_state(5, 4, 1)
+    nf = tripartition_normal_form(s, [0], [1, 2], [3])
+    assert nf.forms == ((5, nf),)
+
+
 def test_non_local_circuits_are_not_exact():
     s = random_state(3, 4, 4)
     nf = tripartition_normal_form(s, [0, 1], [2], [3])

@@ -91,7 +91,7 @@ def test_crt_decompose_verifies_the_factors_it_writes(tmp_path, capsys,
     # the state is decomposed once, and --verify checks those factors: a
     # wrong factor state (|+++> in place of the D = 2 GHZ) fails the check
     # before any file is written
-    from qstab import cli, formats, verify
+    from qstab import canonicalize, cli, formats
     from qstab.stabilizer import ghz_group, plus_state_group
 
     calls = []
@@ -103,7 +103,7 @@ def test_crt_decompose_verifies_the_factors_it_writes(tmp_path, capsys,
                 for p, f in real_decompose(group)]
 
     monkeypatch.setattr(cli, "decompose_state", tampered_decompose)
-    monkeypatch.setattr(verify, "decompose_state", tampered_decompose)
+    monkeypatch.setattr(canonicalize, "decompose_state", tampered_decompose)
     state = tmp_path / "ghz6.stab"
     state.write_text(formats.render_stabilizer(ghz_group(6)))
     code, _, err = run_cli(["crt-decompose", "--state", str(state),
@@ -251,6 +251,46 @@ def test_oracle_verify_needs_every_prime_factor(tmp_path, capsys):
                           "--state", str(state)], capsys)
     assert rc == 1
     assert "per-factor-exactness: MISMATCH" in out
+
+
+@pytest.mark.parametrize("header", ["D 10 n 6", "D 2 n 6"])
+def test_oracle_verify_checks_the_composite_header(tmp_path, capsys, header):
+    state = tmp_path / "s.stab"
+    run_cli(["random-state", "--D", "6", "--n", "6", "--seed", "2",
+             "--out", str(state)], capsys)
+    report = tmp_path / "s.nf"
+    run_cli(["canonicalize", "--state", str(state), "--parts", "1,2/3,4/5,6",
+             "--out", str(report)], capsys)
+    text = report.read_text()
+    assert text.count("D 6 n 6\n") == 1
+    report.write_text(text.replace("D 6 n 6\n", header + "\n"))
+    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+                          "--state", str(state)], capsys)
+    assert rc == 1
+    assert "per-factor-exactness: MISMATCH" in out
+
+
+def test_composite_canonicalize_verify_decomposes_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # every decomposition goes through crt.decompose_group; the check
+    # reuses the factor forms the normal form was built from
+    from qstab import crt
+
+    state = tmp_path / "s.stab"
+    run_cli(["random-state", "--D", "6", "--n", "12", "--seed", "1",
+             "--out", str(state)], capsys)
+    calls = []
+    real = crt.decompose_group
+
+    def counting(group):
+        calls.append(group.d)
+        return real(group)
+
+    monkeypatch.setattr(crt, "decompose_group", counting)
+    rc, out, _ = run_cli(["canonicalize", "--state", str(state), "--parts",
+                          "1,2,3,4/5,6,7,8/9,10,11,12", "--verify"], capsys)
+    assert rc == 0 and "composite-min true" in out
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("edit", [
@@ -403,6 +443,23 @@ def test_header_only_state_fails_fast_and_briefly(tmp_path, capsys):
     assert (rc, out) == (1, "")
     assert err == ("ShapeMismatch: qudits [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
                    " (999998 in all) not covered by --parts\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["random-state", "--D", "3", "--n", "-1", "--seed", "1"],
+     "ShapeMismatch: n = -1 qudits is negative"),
+    (["random-code", "--D", "3", "--n", "-2", "--k", "0", "--seed", "1"],
+     "ShapeMismatch: n = -2 qudits is negative"),
+    (["random-code", "--D", "3", "--n", "4", "--k", "-1", "--seed", "1"],
+     "InvalidCode: k = -1 outside 0..n = 4"),
+    (["crt-decompose", "--state", "{neg}", "--out-prefix", "{neg}"],
+     "FormatError: negative count in header 'D 3 n -1 gens 0'"),
+], ids=["state-n", "code-n", "code-k", "header-n"])
+def test_negative_counts_are_named(tmp_path, capsys, args, message):
+    neg = tmp_path / "neg.stab"
+    neg.write_text("QSTAB1 stabilizer\nD 3 n -1 gens 0\n")
+    rc, out, err = run_cli([a.format(neg=neg) for a in args], capsys)
+    assert (rc, out, err) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize("b, c, message", [

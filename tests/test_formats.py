@@ -175,6 +175,14 @@ def test_parse_errors():
     # n bounded by nothing in the text must not reach the n x n adjacency
     with pytest.raises(FormatError):
         formats.parse_code("QSTAB1 code\nD 2 n 200000 k 0\nCODING\n")
+    # a negative count in any header but D's
+    for parse, text in (
+            (formats.parse_stabilizer, "QSTAB1 stabilizer\nD 3 n -1 gens 0\n"),
+            (formats.parse_stabilizer, "QSTAB1 stabilizer\nD 3 n 0 gens -1\n"),
+            (formats.parse_code, "QSTAB1 code\nD 3 n 2 k -1\nCODING\n"),
+            (formats.parse_gates, "QSTAB1 gates\nD 3 n -2\n")):
+        with pytest.raises(FormatError, match="negative count in header"):
+            parse(text)
     # a count whose capacity line overflows a float
     chan = (GOLDEN / "pentagon.chan").read_text()
     assert "\nm_AB 0\n" in chan

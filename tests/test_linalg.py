@@ -154,3 +154,11 @@ def test_rref_wrapper_plain_vectors():
     assert linalg.rref([], 7) == ([], [])
     assert linalg.rank([[1, 1, 0, 1]], 2) == 1
     assert linalg.nullspace([[0, 0, 0]], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_echelon_on_no_rows_never_reads_the_columns():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("echelon iterated the columns")
+
+    assert linalg.echelon([], Unread(), 3, 3) == ([], [], [])

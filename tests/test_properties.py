@@ -46,7 +46,7 @@ def partitioned_states(draw, nparts, dims=(2, 3, 5, 7, 6, 10, 15, 30)):
 
 
 def _prime_forms(nf):
-    return [sub for _, sub in nf.factors] if nf.factors else [nf]
+    return [sub for _, sub in nf.forms]
 
 
 def _factor_counts(nf):
@@ -125,7 +125,7 @@ def test_planted_states_return_their_counts(case):
     (group, parts), counts = case
     nf = tripartition_normal_form(group, *parts)
     assert nf.counts == counts
-    factors = decompose_state(group) if nf.factors else [(group.d, group)]
+    factors = decompose_state(group)
     assert len(factors) == len(_prime_forms(nf))
     for (_, factor), sub in zip(factors, _prime_forms(nf)):
         assert sub.counts == counts
