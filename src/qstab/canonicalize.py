@@ -32,9 +32,11 @@ the canonical natural-order rows, takes the BC subgroup, and reads both
 partners off one elimination on C's columns and one on B's.
 
 Every D runs one prime at a time, on the CRT factors of the state (a
-prime-D state is its only factor). At squarefree composite D the counts are
-the componentwise minimum across factors; the per-factor forms remain
-ground truth and ride along, and `NormalForm.forms` lists them at any D.
+prime-D state is its only factor). A form stores roles and circuits, and its
+counts derive: at prime D each count is the number of roles of its kind
+(`COUNT_PARTS`), at squarefree composite D the componentwise minimum across
+factors; the per-factor forms remain ground truth and ride along, and
+`NormalForm.forms` lists them at any D.
 
 All tie-breaks are fixed (lowest generator index, lowest qudit index), so
 identical inputs produce identical normal forms. Every prime-D run ends with
@@ -47,7 +49,6 @@ have D^n elements.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -103,14 +104,16 @@ class Partition:
                            tuple(tuple(sorted(p)) for p in self.parts))
 
 
-# NormalForm count fields, in the order reports list them
-COUNT_FIELDS = ("m_a", "m_b", "m_c", "m_ab", "m_ac", "m_bc", "m_abc")
+# the part indices each count tag names, in the order reports list them
+COUNT_PARTS = {"m_A": (0,), "m_B": (1,), "m_C": (2,), "m_AB": (0, 1),
+               "m_AC": (0, 2), "m_BC": (1, 2), "m_ABC": (0, 1, 2)}
 
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Counts, per-part unitaries, and the qudit role assignment.
+    """Per-part unitaries and the qudit role assignment; the counts derive.
 
+    At prime D each count m_X is the number of roles naming the parts X.
     For composite D, `factors` holds the per-prime normal forms (ground
     truth) and the form has no roles or circuits; its counts are their
     componentwise minimum, which `composite_counts_derived` reports.
@@ -119,13 +122,6 @@ class NormalForm:
     d: int
     n: int
     parts: tuple[tuple[int, ...], ...]
-    m_a: int
-    m_b: int
-    m_c: int
-    m_ab: int
-    m_ac: int
-    m_bc: int
-    m_abc: int
     singles: tuple[tuple[int, int], ...] = ()
     pairs: tuple[tuple[int, int, int, int], ...] = ()
     triples: tuple[tuple[int, int, int], ...] = ()
@@ -147,9 +143,17 @@ class NormalForm:
 
     @property
     def counts(self) -> dict[str, int]:
-        """The counts by report tag: m_ab is tagged m_AB."""
-        return {"m_" + field[2:].upper(): getattr(self, field)
-                for field in COUNT_FIELDS}
+        """The counts by report tag (m_ab is tagged m_AB): the role tally at
+        prime D, the minimum over the factor forms at composite D."""
+        if self.factors:
+            tallies = [sub.counts for _, sub in self.factors]
+            return {tag: min(t[tag] for t in tallies) for tag in COUNT_PARTS}
+        names = [names for names, _ in self.roles]
+        return {tag: names.count(idx) for tag, idx in COUNT_PARTS.items()}
+
+    # each count by its tag in lower case, read-only
+    m_a, m_b, m_c, m_ab, m_ac, m_bc, m_abc = (
+        property(lambda self, tag=tag: self.counts[tag]) for tag in COUNT_PARTS)
 
     @property
     def roles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -161,16 +165,11 @@ class NormalForm:
 
     def crossing_count(self, side) -> int:
         """Normal-form factors crossing the cut with the given part indices
-        on one side; a GHZ crosses every nontrivial cut once."""
-        side_set = set(side)
-        total = 0
-        if 0 < len(side_set) < len(self.parts):
-            total += self.m_abc
-        for (i, j), m in (((0, 1), self.m_ab), ((0, 2), self.m_ac),
-                          ((1, 2), self.m_bc)):
-            if (i in side_set) != (j in side_set):
-                total += m
-        return total
+        on one side: those whose parts lie on both sides, so a GHZ crosses
+        every nontrivial cut once."""
+        side_set, counts = set(side), self.counts
+        return sum(counts[tag] for tag, idx in COUNT_PARTS.items()
+                   if 0 < len(side_set.intersection(idx)) < len(idx))
 
 
 def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
@@ -475,18 +474,11 @@ def _prime_normal_form(group: StabilizerGroup,
             pass
     if ctx.rows:
         raise InternalInvariant("extraction finished with residual generators")
-
-    part_singles = Counter(pi for _, pi in ctx.singles)
-    pair_counts = Counter((pi, pj) for pi, pj, _, _ in ctx.pairs)
     nf = NormalForm(
         d=group.d, n=group.n, parts=partition.parts,
-        m_a=part_singles[0], m_b=part_singles[1], m_c=part_singles[2],
-        m_ab=pair_counts[(0, 1)], m_ac=pair_counts[(0, 2)],
-        m_bc=pair_counts[(1, 2)], m_abc=len(ctx.triples),
         singles=tuple(ctx.singles), pairs=tuple(ctx.pairs),
         triples=tuple(ctx.triples),
-        circuits=tuple(tuple(c) for c in ctx.circuits),
-    )
+        circuits=tuple(tuple(c) for c in ctx.circuits))
     if not is_exact(group, nf):
         raise InternalInvariant("conjugated input differs from the normal form")
     object.__setattr__(nf, "_exact_for", group)
@@ -500,10 +492,7 @@ def _normal_form(group: StabilizerGroup, parts) -> NormalForm:
                   for p, factor in factors)
     if len(forms) == 1:
         return forms[0][1]
-    mins = {field: min(getattr(sub, field) for _, sub in forms)
-            for field in COUNT_FIELDS}
-    nf = NormalForm(d=group.d, n=group.n, parts=partition.parts,
-                    factors=forms, **mins)
+    nf = NormalForm(d=group.d, n=group.n, parts=partition.parts, factors=forms)
     # every factor passed the built-in check against its factor state
     object.__setattr__(nf, "_exact_for", group)
     return nf

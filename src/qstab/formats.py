@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .canonicalize import COUNT_FIELDS, NormalForm, Partition
+from .canonicalize import COUNT_PARTS, NormalForm, Partition
 from .channel import ChannelAnalysis, CodeSpec
 from .clifford import GATE_SHAPES, Gate
 from .errors import FormatError
@@ -103,7 +103,7 @@ MAX_GRAPH_N = 1024  # code files build a dense n x n adjacency
 def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
     if not 0 <= n <= MAX_GRAPH_N:
         raise FormatError(f"graph size n={n} outside 0..{MAX_GRAPH_N}")
-    edges = []
+    edges: dict[tuple[int, int], int] = {}
     for ln in lines:
         toks = ln.split()
         if len(toks) != 3:
@@ -111,8 +111,10 @@ def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
         i, j, w = (int(t) for t in toks)
         if not (1 <= i < j <= n):
             raise FormatError(f"edge {ln!r} out of range or not upper-triangular")
-        edges.append((i - 1, j - 1, w))
-    return GraphAdjacency.from_edges(n, edges)
+        if (i - 1, j - 1) in edges:
+            raise FormatError(f"edge {i} {j} appears twice")
+        edges[i - 1, j - 1] = w
+    return GraphAdjacency.from_edges(n, [(*e, w) for e, w in edges.items()])
 
 
 def render_code(code: CodeSpec) -> str:
@@ -214,8 +216,8 @@ def render_normal_form(nf: NormalForm) -> str:
 
 
 class _Cursor:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
+    def __init__(self, text: str, kind: str):
+        self.text, self.lines = text, _expect_magic(_lines(text), kind)
         self.pos = 0
 
     def peek(self) -> str:
@@ -232,6 +234,14 @@ class _Cursor:
         """The lines announced by the count at token `at` of the next line."""
         count = int(self.take().split()[at])
         return [self.take() for _ in range(count)]
+
+    def expect(self, want: str) -> None:
+        """Take the next line, which must read `want` token for token."""
+        if [ln.split() for ln in self.lines[self.pos:self.pos + 1]] != [
+                want.split()]:
+            read = _lines(self.text)[:self.pos + 1] + [want]
+            raise _first_difference(self.text, "\n".join(read))
+        self.pos += 1
 
 
 def _index_list(tok: str) -> tuple[int, ...]:
@@ -269,12 +279,14 @@ def _as_rendered(render):
 
 
 def _parse_nf_body(cur: _Cursor) -> dict:
-    """NormalForm fields of one counts/tableaux/roles block."""
-    body = {field: int(cur.take().split()[1]) for field in COUNT_FIELDS}
+    """NormalForm fields of one counts/tableaux/roles block; the count lines
+    derive from the roles, so the rendering check reads them."""
+    for _ in COUNT_PARTS:
+        cur.take()
     circuits = []
     while cur.peek() == "tableau":
         circuits.append(tuple(parse_gate(ln) for ln in cur.block(3)))
-    body["circuits"] = tuple(circuits)
+    body = {"circuits": tuple(circuits)}
     for field, width in (("singles", 2), ("pairs", 4), ("triples", 3)):
         body[field] = tuple(tuple(int(t) - 1 for t in ln.split()[1:1 + width])
                             for ln in cur.block())
@@ -291,20 +303,22 @@ def _nf_from_body(d: int, n: int, parts, body: dict, factors=()) -> NormalForm:
 @_text_parser
 @_as_rendered(render_normal_form)
 def parse_normal_form(text: str) -> NormalForm:
-    cur = _Cursor(_expect_magic(_lines(text), "normalform"))
+    cur = _Cursor(text, "normalform")
     d, n = _header_ints(cur.take(), ("D", "n"))
     parts = tuple(_index_list(ln.split()[2]) for ln in cur.block())
     if sum(len(part) for part in parts) != n:
         raise FormatError(f"parts do not hold n={n} qudits")
     Partition(n, parts)  # raises ShapeMismatch unless the parts tile the qudits
-    if cur.peek() == "composite-min":  # rendered exactly when factors follow
-        cur.take()
+    # factor blocks exactly at composite D; a prime D's report renders none
+    primes = () if factorize(d).is_prime else factorize(d).primes
+    if primes or cur.peek() == "composite-min":
+        cur.expect("composite-min true")
     body = _parse_nf_body(cur)
     factors = []
-    while cur.peek() == "factor":
-        p = int(cur.take().split()[1])
+    for p in primes:
+        cur.expect(f"factor {p}")
         factors.append((p, _nf_from_body(p, n, parts, _parse_nf_body(cur))))
-        cur.take()  # end-factor
+        cur.expect("end-factor")
     return _nf_from_body(d, n, parts, body, factors)
 
 
@@ -385,7 +399,7 @@ def render_channel_report(rep: ChannelReport) -> str:
 @_text_parser
 @_as_rendered(render_channel_report)
 def parse_channel_report(text: str) -> ChannelReport:
-    cur = _Cursor(_expect_magic(_lines(text), "channel"))
+    cur = _Cursor(text, "channel")
     d, n, k = _header_ints(cur.take(), ("D", "n", "k"))
     out_b = _index_list(cur.take().split()[1])
     out_c = _index_list(cur.take().split()[1])

@@ -1,7 +1,8 @@
 """Dense re-verification of normal forms and channel analyses.
 
 Each check returns (name, passed) pairs so the CLI can print one line per
-check and exit nonzero when any fails. The dense cross-checks are skipped
+check and exit nonzero when any fails. A normal form's counts derive from
+its roles, so the checks read the roles. The dense cross-checks are skipped
 (reported as passed with a -skipped suffix) when the Hilbert space exceeds
 the desk-scale cap.
 """
@@ -9,10 +10,9 @@ the desk-scale cap.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from . import linalg, oracle
-from .canonicalize import COUNT_FIELDS, NormalForm, is_exact
+from .canonicalize import NormalForm, is_exact
 from .channel import ChannelAnalysis, to_original_input_basis, verify_duality
 from .errors import InternalInvariant
 from .stabilizer import StabilizerGroup
@@ -21,34 +21,25 @@ Check = tuple[str, bool]
 
 
 def _qudit_conservation(nf: NormalForm) -> bool:
-    """The counts use up each part's qudits, equal the tally of the role
-    table (singles, pairs and triples), and every role's qudits lie in the
-    parts it names."""
+    """The counts tally every role, so each is one of the seven kinds; each
+    role's qudits lie in the parts it names; the roles use up each part."""
     parts = [set(p) for p in nf.parts] + [set()] * (3 - len(nf.parts))
-    if not all(0 <= i < 3 and q in parts[i]
-               for names, qudits in nf.roles for i, q in zip(names, qudits)):
-        return False
-    tally = Counter("m_" + "".join("ABC"[i] for i in names)
-                    for names, _ in nf.roles)
-    return (tally == Counter({k: m for k, m in nf.counts.items() if m})
-            and all(sum(m for key, m in nf.counts.items() if tag in key[2:])
-                    == len(part) for tag, part in zip("ABC", parts)))
+    named = [i for names, _ in nf.roles for i in names]
+    return (sum(nf.counts.values()) == len(nf.roles)
+            and all(named.count(i) == len(p) for i, p in enumerate(nf.parts))
+            and all(0 <= i < 3 and q in parts[i] for names, qudits in nf.roles
+                    for i, q in zip(names, qudits)))
 
 
 def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
     """Re-check a normal form against its input state: the per-prime forms
-    conserve qudits, composite counts are their minimum, the form is exact
-    (factor by factor at composite D), and the dense Schmidt ranks agree."""
-    checks: list[Check] = [("qudit-conservation", all(
-        _qudit_conservation(sub) for _, sub in nf.forms))]
-    exactness = "exactness"
-    if nf.factors:
-        checks.append(("composite-counts-min", all(
-            getattr(nf, field) == min(getattr(sub, field)
-                                      for _, sub in nf.factors)
-            for field in COUNT_FIELDS)))
-        exactness = "per-factor-exactness"
-    checks.append((exactness, is_exact(group, nf)))
+    conserve qudits, the form is exact (factor by factor at composite D),
+    and the dense Schmidt ranks agree."""
+    checks: list[Check] = [
+        ("qudit-conservation", all(_qudit_conservation(sub)
+                                   for _, sub in nf.forms)),
+        ("per-factor-exactness" if nf.factors else "exactness",
+         is_exact(group, nf))]
     if group.d ** group.n > oracle.DIMENSION_CAP:
         return checks + [("schmidt-ranks-skipped", True)]
     return checks + [("schmidt-ranks", _schmidt_ranks_match(group, nf))]
@@ -56,8 +47,9 @@ def verify_normal_form(group: StabilizerGroup, nf: NormalForm) -> list[Check]:
 
 def _cut_rank(nf: NormalForm, side) -> int:
     """The Schmidt rank the normal form gives the cut, or 0 (no state's)
-    when a crossing count exceeds n, as in a tampered report, where the
-    power would be too large to build."""
+    when a crossing count exceeds n, where the power would be too large to
+    build. Parsed counts are the role tally, so only a role table with more
+    than n roles, which no state has, reaches this guard."""
     if any(sub.crossing_count(side) > nf.n for _, sub in nf.forms):
         return 0
     return math.prod(p ** sub.crossing_count(side) for p, sub in nf.forms)

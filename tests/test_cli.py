@@ -177,9 +177,9 @@ def test_oracle_verify_detects_tampering(tmp_path, capsys):
         return run_cli(["oracle-verify", "--report", str(report),
                         "--state", str(state)], capsys)
 
-    rc, out, _ = tamper("m_A ", lambda t: f"m_A {int(t[1]) + 1}")
+    rc, _, err = tamper("m_A ", lambda t: f"m_A {int(t[1]) + 1}")
     assert rc == 1
-    assert "MISMATCH" in out
+    assert err.startswith("FormatError: line 7 reads 'm_A 1', expected 'm_A 0'")
     # the other unit of Z_3 in an `S q a` gate: only the replay can see it
     rc, out, _ = tamper("S ", lambda t: f"S {t[1]} {3 - int(t[2])}")
     assert rc == 1
@@ -230,10 +230,11 @@ def test_oracle_verify_rejects_a_count_larger_than_the_register(tmp_path,
     assert "\nm_AB 2\n" in text
     report = tmp_path / "s.nf"
     report.write_text(text.replace("\nm_AB 2\n", "\nm_AB 99999999999\n"))
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+    rc, _, err = run_cli(["oracle-verify", "--report", str(report),
                           "--state", str(golden / "d2_n6.stab")], capsys)
     assert rc == 1
-    assert "schmidt-ranks: MISMATCH" in out
+    assert err.startswith("FormatError: line 9 reads 'm_AB 99999999999', "
+                          "expected 'm_AB 2'")
 
 
 def test_oracle_verify_needs_every_prime_factor(tmp_path, capsys):
@@ -247,14 +248,19 @@ def test_oracle_verify_needs_every_prime_factor(tmp_path, capsys):
     start = text.index("factor 3\n")
     end = text.index("end-factor\n", start) + len("end-factor\n")
     report.write_text(text[:start] + text[end:])
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+    rc, _, err = run_cli(["oracle-verify", "--report", str(report),
                           "--state", str(state)], capsys)
     assert rc == 1
-    assert "per-factor-exactness: MISMATCH" in out
+    assert err.startswith("FormatError: line 61 reads 'end of input', "
+                          "expected 'factor 3'")
 
 
-@pytest.mark.parametrize("header", ["D 10 n 6", "D 2 n 6"])
-def test_oracle_verify_checks_the_composite_header(tmp_path, capsys, header):
+@pytest.mark.parametrize("header, error", [
+    ("D 10 n 6", "line 61 reads 'factor 3', expected 'factor 5'"),
+    ("D 2 n 6", "line 7 reads 'composite-min true', expected 'm_A 0'"),
+], ids=["D 10 n 6", "D 2 n 6"])
+def test_oracle_verify_checks_the_composite_header(tmp_path, capsys, header,
+                                                   error):
     state = tmp_path / "s.stab"
     run_cli(["random-state", "--D", "6", "--n", "6", "--seed", "2",
              "--out", str(state)], capsys)
@@ -264,10 +270,10 @@ def test_oracle_verify_checks_the_composite_header(tmp_path, capsys, header):
     text = report.read_text()
     assert text.count("D 6 n 6\n") == 1
     report.write_text(text.replace("D 6 n 6\n", header + "\n"))
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
+    rc, _, err = run_cli(["oracle-verify", "--report", str(report),
                           "--state", str(state)], capsys)
     assert rc == 1
-    assert "per-factor-exactness: MISMATCH" in out
+    assert err.startswith("FormatError: " + error)
 
 
 def test_composite_canonicalize_verify_decomposes_once(tmp_path, capsys,
@@ -293,15 +299,20 @@ def test_composite_canonicalize_verify_decomposes_once(tmp_path, capsys,
     assert calls == [6]
 
 
-@pytest.mark.parametrize("edit", [
+@pytest.mark.parametrize("edit, error", [
     # counts changed consistently with the part sizes, above the dense cap
-    {"m_A 1": "m_A 2", "m_AB 2": "m_AB 1", "m_AC 1": "m_AC 0",
-     "m_ABC 0": "m_ABC 1"},
+    ({"m_A 1": "m_A 2", "m_AB 2": "m_AB 1", "m_AC 1": "m_AC 0",
+      "m_ABC 0": "m_ABC 1"},
+     "FormatError: line 7 reads 'm_A 2', expected 'm_A 1'"),
     # a pair whose qudits swap parts, and a single named in the wrong part
-    {"pair 1 3 4 8": "pair 1 3 8 4"},
-    {"single 1 1": "single 1 2"},
-])
-def test_oracle_verify_checks_counts_against_roles(tmp_path, capsys, edit):
+    ({"pair 1 3 4 8": "pair 1 3 8 4"}, None),
+    ({"single 1 1": "single 1 2"},
+     "FormatError: line 7 reads 'm_A 1', expected 'm_A 0'"),
+    # a pair naming its parts as C, A: no kind of role, so no count holds it
+    ({"pair 1 3 4 8": "pair 3 1 8 4", "m_AC 1": "m_AC 0"}, None),
+], ids=["edit0", "edit1", "edit2", "edit3"])
+def test_oracle_verify_checks_counts_against_roles(tmp_path, capsys, edit,
+                                                   error):
     state = tmp_path / "s.stab"
     run_cli(["random-state", "--D", "3", "--n", "9", "--seed", "4",
              "--out", str(state)], capsys)
@@ -311,10 +322,13 @@ def test_oracle_verify_checks_counts_against_roles(tmp_path, capsys, edit):
     lines = report.read_text().splitlines()
     assert all(old in lines for old in edit)
     report.write_text("\n".join(edit.get(ln, ln) for ln in lines) + "\n")
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
-                          "--state", str(state)], capsys)
+    rc, out, err = run_cli(["oracle-verify", "--report", str(report),
+                            "--state", str(state)], capsys)
     assert rc == 1
-    assert "qudit-conservation: MISMATCH" in out
+    if error:
+        assert err.startswith(error)
+    else:
+        assert "qudit-conservation: MISMATCH" in out
 
 
 @pytest.mark.parametrize("old, new", [

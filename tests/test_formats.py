@@ -136,6 +136,8 @@ def test_report_parsers_accept_only_rendered_tokens(name):
         edits = [line + " 7"]
         if tag != formats.MAGIC and not tag[0].isdigit():  # not a Pauli line
             edits.append(" ".join(["junk", *rest]))
+        if path.suffix == ".nf" and tag.startswith("m_"):  # off the role tally
+            edits.append(f"{tag} {int(rest[0]) + 1}")
         for edit in edits:
             with pytest.raises(FormatError) as err:
                 parse("\n".join(lines[:i] + [edit] + lines[i + 1:]) + "\n")
@@ -183,6 +185,30 @@ def test_parse_errors():
             (formats.parse_gates, "QSTAB1 gates\nD 3 n -2\n")):
         with pytest.raises(FormatError, match="negative count in header"):
             parse(text)
+    # a repeated edge, whose later weight would silently win
+    with pytest.raises(FormatError, match="edge 1 2 appears twice"):
+        formats.parse_code("QSTAB1 code\nD 3 n 2 k 0\n1 2 1\n1 2 2\nCODING\n")
+    # factor blocks exactly at composite D, one per prime in ascending order:
+    # a D = 5 report wrapped as a composite one, a D = 6 report relabelled
+    # or missing a block
+    prime = formats.render_normal_form(tripartition_normal_form(
+        random_state(5, 3, 2), [0], [1], [2])).splitlines()
+    counts = [line for line in prime if line.startswith("m_")]
+    wrapped = (prime[:6] + ["composite-min true"] + counts
+               + ["singles 0", "pairs 0", "triples 0", "factor 5"]
+               + prime[6:] + ["end-factor"])
+    d6 = (GOLDEN / "d6_tri.nf").read_text()
+    for text, error in (
+            ("\n".join(wrapped) + "\n",
+             "line 7 reads 'composite-min true', expected 'm_A 0'"),
+            (d6.replace("D 6 n 4\n", "D 10 n 4\n"),
+             "line 45 reads 'factor 3', expected 'factor 5'"),
+            (d6.replace("D 6 n 4\n", "D 2 n 4\n"),
+             "line 7 reads 'composite-min true', expected 'm_A 0'"),
+            (d6[:d6.index("factor 3\n")],
+             "line 45 reads 'end of input', expected 'factor 3'")):
+        with pytest.raises(FormatError, match=error):
+            formats.parse_normal_form(text)
     # a count whose capacity line overflows a float
     chan = (GOLDEN / "pentagon.chan").read_text()
     assert "\nm_AB 0\n" in chan
