@@ -3,11 +3,11 @@
 A code is a graph state on n output qudits plus k independent Z-type coding
 generators (prime D). Its Choi state lives on k+n qudits (inputs first); the
 tripartition normal form of that state with parts (inputs, B, C) yields the
-channel decomposition directly:
+channel decomposition directly, and `SENDS` says what each role sends:
 
-  EPR input<->B   perfect quantum channel to B    (X and Z transmitted)
-  GHZ input,B,C   perfectly decohering channel    (Z transmitted to both)
-  EPR input<->C   depolarizing channel to B       (nothing transmitted)
+  EPR input<->B   perfect quantum channel to B    (X and Z to B)
+  GHZ input,B,C   perfectly decohering channel    (Z to both)
+  EPR input<->C   depolarizing channel to B       (X and Z to C)
 
 Input-side Pauli groups are stored in the transformed input basis; the
 input-side gate list is recorded so membership queries for original-basis
@@ -21,7 +21,12 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .canonicalize import NormalForm, check_cover, tripartition_normal_form
+from .canonicalize import (
+    COUNT_PARTS,
+    NormalForm,
+    check_cover,
+    tripartition_normal_form,
+)
 from .clifford import conjugate_rows, cphase, inverse_gates
 from .errors import (
     InternalInvariant,
@@ -141,6 +146,27 @@ def graph_choi_to_code(adj: GraphAdjacency, k: int,
     return CodeSpec(n, k, d, out_graph, coding), input_gates
 
 
+# the Paulis on its input qudit that each role sends to B and to C, by count
+# tag; EPR roles come first, as the information groups list their generators
+SENDS = {"m_AB": ("XZ", ""), "m_AC": ("", "XZ"), "m_ABC": ("Z", "Z")}
+
+
+def capacities(counts) -> dict[str, int]:
+    """Q_B, C_B, Q_C, C_C in qudits, from counts by tag: a side's Q counts
+    the roles that send it X and Z, its C every role that sends it a Pauli."""
+    caps = {}
+    for side, name in enumerate("BC"):
+        sends = [(counts[tag], sent[side]) for tag, sent in SENDS.items()]
+        caps[f"Q_{name}"] = sum(m for m, paulis in sends if paulis == "XZ")
+        caps[f"C_{name}"] = sum(m for m, paulis in sends if paulis)
+    return caps
+
+
+def bits(count: int, d: int) -> float:
+    """A capacity of `count` qudits in log2 units."""
+    return count * math.log2(d)
+
+
 @dataclass(frozen=True)
 class ChannelAnalysis:
     """The Choi state, its normal form with parts (inputs, B, C), and the
@@ -155,24 +181,18 @@ class ChannelAnalysis:
     info_b: tuple[PauliProduct, ...]
     info_c: tuple[PauliProduct, ...]
 
-    @property
-    def q_b(self) -> int:
-        return self.normal_form.m_ab
+    # each capacity in qudits by its tag in lower case, read-only
+    q_b, c_b, q_c, c_c = (
+        property(lambda self, tag=tag: capacities(self.normal_form.counts)[tag])
+        for tag in ("Q_B", "C_B", "Q_C", "C_C"))
 
     @property
-    def c_b(self) -> int:
-        return self.normal_form.m_ab + self.normal_form.m_abc
-
-    @property
-    def q_c(self) -> int:
-        return self.normal_form.m_ac
-
-    @property
-    def c_c(self) -> int:
-        return self.normal_form.m_ac + self.normal_form.m_abc
+    def consumed(self) -> int:
+        """Input qudits held by a role in `SENDS`."""
+        return sum(self.normal_form.counts[tag] for tag in SENDS)
 
     def bits(self, count: int) -> float:
-        return count * math.log2(self.code.d)
+        return bits(count, self.code.d)
 
 
 def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
@@ -180,8 +200,8 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
 
     Builds the Choi state, runs the tripartition normal form with the inputs
     as part A, and reads the channel structure off the counts. Every input
-    qudit is consumed by an EPR pair or a GHZ (the input marginal is
-    maximally mixed, so no input single survives).
+    qudit is consumed by a role in `SENDS` (the input marginal is maximally
+    mixed, so no input single survives).
     """
     out_b = tuple(sorted(out_b))
     out_c = tuple(sorted(out_c))
@@ -194,32 +214,25 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
     nf = tripartition_normal_form(choi, part_a, part_b, part_c)
     if nf.m_a != 0:
         raise InternalInvariant("input qudit left unentangled by an isometry")
-    if nf.m_abc + nf.m_ab + nf.m_ac != k:
-        raise InternalInvariant("input qudits not fully consumed")
     info_b, info_c = _info_groups(code.d, k, nf)
-    return ChannelAnalysis(code=code, out_b=out_b, out_c=out_c, choi=choi,
-                           normal_form=nf, info_b=info_b, info_c=info_c)
+    analysis = ChannelAnalysis(code=code, out_b=out_b, out_c=out_c, choi=choi,
+                               normal_form=nf, info_b=info_b, info_c=info_c)
+    if analysis.consumed != k:
+        raise InternalInvariant("input qudits not fully consumed")
+    return analysis
 
 
 def _info_groups(d: int, k: int,
-                 nf: NormalForm) -> tuple[tuple[PauliProduct, ...],
-                                          tuple[PauliProduct, ...]]:
-    """Subset information groups in the transformed input basis.
-
-    An EPR pair from input slot q to a side transmits X_q and Z_q to that
-    side; a GHZ input slot transmits Z_q to both sides; the phase generator
-    is always present.
-    """
-    epr_b = sorted(qa for pi, pj, qa, _ in nf.pairs if (pi, pj) == (0, 1))
-    epr_c = sorted(qa for pi, pj, qa, _ in nf.pairs if (pi, pj) == (0, 2))
-    ghz = sorted(qa for qa, _, _ in nf.triples)
-    info_b: list[PauliProduct] = [phase_op(d, k, 1)]
-    info_c: list[PauliProduct] = [phase_op(d, k, 1)]
-    info_b += [op(d, k, q) for q in epr_b for op in (x_op, z_op)]
-    info_c += [op(d, k, q) for q in epr_c for op in (x_op, z_op)]
-    info_b += [z_op(d, k, q) for q in ghz]
-    info_c += [z_op(d, k, q) for q in ghz]
-    return tuple(info_b), tuple(info_c)
+                 nf: NormalForm) -> tuple[tuple[PauliProduct, ...], ...]:
+    """Subset information groups in the transformed input basis: the phase
+    generator, then what `SENDS` says each role's input slot q sends to the
+    side, as X_q and Z_q, slot by slot in ascending order."""
+    slots = {tag: sorted(qudits[0] for names, qudits in nf.roles
+                         if names == COUNT_PARTS[tag]) for tag in SENDS}
+    ops = {"X": x_op, "Z": z_op}
+    return tuple((phase_op(d, k, 1),) + tuple(
+        ops[p](d, k, q) for tag, sent in SENDS.items() for q in slots[tag]
+        for p in sent[side]) for side in (0, 1))
 
 
 def centralizer_in_pauli(gens, d: int, k: int) -> tuple[PauliProduct, ...]:

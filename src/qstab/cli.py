@@ -41,6 +41,13 @@ def _parse_parts(spec: str) -> list[list[int]]:
     return [_parse_index_list(group) for group in spec.split("/")]
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -49,7 +56,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_canonicalize(args) -> int:
-    group = formats.parse_stabilizer(Path(args.state).read_text())
+    group = formats.parse_stabilizer(_read(args.state))
     parts = _parse_parts(args.parts)
     if len(parts) not in (2, 3):
         raise QstabError(f"need 2 or 3 parts, got {len(parts)}")
@@ -68,7 +75,7 @@ def _cmd_canonicalize(args) -> int:
 
 
 def _cmd_crt_decompose(args) -> int:
-    group = formats.parse_stabilizer(Path(args.state).read_text())
+    group = formats.parse_stabilizer(_read(args.state))
     factors = decompose_state(group)
     if args.verify:
         verify.require_all(verify.verify_crt_decomposition(group, factors))
@@ -80,7 +87,7 @@ def _cmd_crt_decompose(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    code = formats.parse_code(Path(args.code).read_text())
+    code = formats.parse_code(_read(args.code))
     out_b = _parse_index_list(args.B)
     out_c = _parse_index_list(args.C)
     check_cover([out_b, out_c], code.n, 1, "--B and --C")
@@ -96,31 +103,26 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_oracle_verify(args) -> int:
-    report_text = Path(args.report).read_text()
+    report_text = _read(args.report)
     kind = formats.detect_kind(report_text)
     if kind == "normalform":
         if not args.state:
             raise QstabError("normal-form verification needs --state")
-        group = formats.parse_stabilizer(Path(args.state).read_text())
+        group = formats.parse_stabilizer(_read(args.state))
         nf = formats.parse_normal_form(report_text)
         checks = verify.verify_normal_form(group, nf)
     elif kind == "channel":
         if not args.code:
             raise QstabError("channel verification needs --code")
-        code = formats.parse_code(Path(args.code).read_text())
-        try:
-            rep = formats.parse_channel_report(report_text)
-        except FormatError as exc:  # every fresh rendering parses
-            sys.stderr.write(f"FormatError: {exc}\n")
-            checks = [("report-reproduced", False)]
-        else:
-            analysis = analyze_channel(code, rep.out_b, rep.out_c)
-            fresh = formats.render_channel_report(
-                formats.report_from_analysis(analysis, bounds=rep.bounds))
-            # token for token: spacing and blank lines are free
-            checks = [("report-reproduced",
-                       fresh.split() == report_text.split())]
-            checks.extend(verify.verify_channel_analysis(analysis))
+        code = formats.parse_code(_read(args.code))
+        rep = formats.parse_channel_report(report_text)
+        check_cover([rep.out_b, rep.out_c], code.n, 1, "the report's B and C")
+        analysis = analyze_channel(code, rep.out_b, rep.out_c)
+        fresh = formats.render_channel_report(
+            formats.report_from_analysis(analysis, bounds=rep.bounds))
+        # token for token: spacing and blank lines are free
+        checks = [("report-reproduced", fresh.split() == report_text.split())]
+        checks.extend(verify.verify_channel_analysis(analysis))
     else:
         raise QstabError(f"cannot verify a {kind!r} file")
     status = 0
@@ -138,6 +140,7 @@ def _cmd_random_state(args) -> int:
 
 
 def _cmd_random_code(args) -> int:
+    formats.check_graph_size(args.n)  # before drawing what no file could hold
     graph, coding = randgen.random_code(args.D, args.n, args.k, args.seed)
     code = CodeSpec(args.n, args.k, args.D, graph, tuple(coding))
     _emit(formats.render_code(code), args.out)

@@ -13,11 +13,10 @@ free). Input files (stabilizer, code) accept unreduced exponents.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .canonicalize import COUNT_PARTS, NormalForm, Partition
-from .channel import ChannelAnalysis, CodeSpec
+from .channel import ChannelAnalysis, CodeSpec, bits, capacities
 from .clifford import GATE_SHAPES, Gate
 from .errors import FormatError
 from .modring import factorize
@@ -100,9 +99,14 @@ def _edge_lines(adj: GraphAdjacency) -> list[str]:
 MAX_GRAPH_N = 1024  # code files build a dense n x n adjacency
 
 
-def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
-    if not 0 <= n <= MAX_GRAPH_N:
+def check_graph_size(n: int) -> None:
+    """Raise FormatError for a graph larger than a code file holds."""
+    if n > MAX_GRAPH_N:
         raise FormatError(f"graph size n={n} outside 0..{MAX_GRAPH_N}")
+
+
+def _parse_edges(lines: list[str], n: int) -> GraphAdjacency:
+    check_graph_size(n)  # the header has rejected a negative n
     edges: dict[tuple[int, int], int] = {}
     for ln in lines:
         toks = ln.split()
@@ -324,8 +328,7 @@ def parse_normal_form(text: str) -> NormalForm:
 
 # ------------------------------------------------------------ channel report
 
-# the channel report's count tags, in report order; ChannelReport's fields
-# are the tags in lower case
+# the channel report's count tags, in report order
 CHANNEL_COUNTS = ("m_ABC", "m_AB", "m_AC", "m_BC", "m_B", "m_C")
 
 
@@ -338,12 +341,7 @@ class ChannelReport:
     k: int
     out_b: tuple[int, ...]
     out_c: tuple[int, ...]
-    m_abc: int
-    m_ab: int
-    m_ac: int
-    m_bc: int
-    m_b: int
-    m_c: int
+    counts: dict[str, int]
     info_b: tuple[PauliProduct, ...]
     info_c: tuple[PauliProduct, ...]
     input_gates: tuple[Gate, ...]
@@ -356,37 +354,22 @@ def report_from_analysis(analysis: ChannelAnalysis,
     return ChannelReport(
         d=analysis.code.d, n=analysis.code.n, k=analysis.code.k,
         out_b=analysis.out_b, out_c=analysis.out_c,
-        **{tag.lower(): nf.counts[tag] for tag in CHANNEL_COUNTS},
+        counts={tag: nf.counts[tag] for tag in CHANNEL_COUNTS},
         info_b=analysis.info_b, info_c=analysis.info_c,
         input_gates=nf.circuits[0],
         bounds=bounds,
     )
 
 
-def _bits_str(count: int, d: int) -> str:
-    bits = count * math.log2(d)
-    if bits == int(bits):
-        return str(int(bits))
-    return repr(bits)
-
-
-def _capacity_lines(d: int, m_ab: int, m_ac: int, m_abc: int,
-                    bounds: bool) -> list[str]:
-    """Q_B, C_B, Q_C, C_C lines: Q = m_AB (m_AC) and C = Q + m_ABC."""
-    rel = ">=" if bounds else "="
-    caps = (("Q_B", m_ab), ("C_B", m_ab + m_abc),
-            ("Q_C", m_ac), ("C_C", m_ac + m_abc))
-    return [f"{tag} {rel} {_bits_str(v, d)} (log2 units)" for tag, v in caps]
-
-
 def render_channel_report(rep: ChannelReport) -> str:
     out = [f"{MAGIC} channel", f"D {rep.d} n {rep.n} k {rep.k}"]
     out.append("B " + (",".join(str(q + 1) for q in rep.out_b) or "-"))
     out.append("C " + (",".join(str(q + 1) for q in rep.out_c) or "-"))
-    for tag in CHANNEL_COUNTS:
-        out.append(f"{tag} {getattr(rep, tag.lower())}")
-    out.extend(_capacity_lines(rep.d, rep.m_ab, rep.m_ac, rep.m_abc,
-                               rep.bounds))
+    out.extend(f"{tag} {rep.counts[tag]}" for tag in CHANNEL_COUNTS)
+    rel = ">=" if rep.bounds else "="
+    for tag, count in capacities(rep.counts).items():
+        b = bits(count, rep.d)
+        out.append(f"{tag} {rel} {int(b) if b == int(b) else b!r} (log2 units)")
     out.append(f"info_B {len(rep.info_b)}")
     out.extend(to_text(p) for p in rep.info_b)
     out.append(f"info_C {len(rep.info_c)}")
@@ -403,13 +386,13 @@ def parse_channel_report(text: str) -> ChannelReport:
     d, n, k = _header_ints(cur.take(), ("D", "n", "k"))
     out_b = _index_list(cur.take().split()[1])
     out_c = _index_list(cur.take().split()[1])
-    counts = {tag.lower(): int(cur.take().split()[1]) for tag in CHANNEL_COUNTS}
+    counts = {tag: int(cur.take().split()[1]) for tag in CHANNEL_COUNTS}
     caps = [cur.take() for _ in range(4)]  # Q_B, C_B, Q_C, C_C
     bounds = caps[0].split()[1] == ">="  # the Q_B line sets the relation
     info_b = tuple(from_text(ln, d) for ln in cur.block())
     info_c = tuple(from_text(ln, d) for ln in cur.block())
     gates = tuple(parse_gate(ln) for ln in cur.block())
-    return ChannelReport(d=d, n=n, k=k, out_b=out_b, out_c=out_c, **counts,
+    return ChannelReport(d=d, n=n, k=k, out_b=out_b, out_c=out_c, counts=counts,
                          info_b=info_b, info_c=info_c, input_gates=gates,
                          bounds=bounds)
 

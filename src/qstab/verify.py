@@ -87,10 +87,9 @@ def verify_crt_decomposition(group: StabilizerGroup, factors) -> list[Check]:
 
 def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
     """Re-check a channel analysis: consumption, duality, brute-force group."""
-    code, nf = analysis.code, analysis.normal_form
+    code = analysis.code
     checks: list[Check] = [
-        ("input-consumption",
-         nf.m_abc + nf.m_ab + nf.m_ac == code.k),
+        ("input-consumption", analysis.consumed == code.k),
         ("duality", verify_duality(analysis)),
     ]
     if code.d ** (code.n + code.k) <= oracle.INFO_GROUP_CAP:

@@ -110,6 +110,15 @@ def test_analyze_identity_code():
         assert verify_duality(an)
 
 
+def test_capacities_follow_what_each_role_sends():
+    # distinct counts, so each capacity names the roles it sums
+    counts = {"m_A": 0, "m_B": 11, "m_C": 13, "m_BC": 17,
+              "m_AB": 2, "m_AC": 3, "m_ABC": 5}
+    assert channel.capacities(counts) == {"Q_B": 2, "C_B": 7,
+                                          "Q_C": 3, "C_C": 8}
+    assert list(channel.capacities(counts)) == ["Q_B", "C_B", "Q_C", "C_C"]
+
+
 def test_analyze_ghz_code():
     for d in (2, 3, 5):
         an = analyze_channel(ghz_code(d), [0], [1])

@@ -346,10 +346,25 @@ def test_oracle_verify_checks_capacity_lines(tmp_path, capsys, old, new):
     text = report.read_text()
     assert text.count(old) == 1
     report.write_text(text.replace(old, new))
-    rc, out, _ = run_cli(["oracle-verify", "--report", str(report),
-                          "--code", str(code)], capsys)
-    assert rc == 1
-    assert "report-reproduced: MISMATCH" in out
+    edited = next(ln for ln in report.read_text().splitlines() if new in ln)
+    rc, out, err = run_cli(["oracle-verify", "--report", str(report),
+                            "--code", str(code)], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("FormatError: line ")
+    assert f"reads {edited!r}" in err
+
+
+def test_oracle_verify_names_uncovered_code_qudits_from_one(tmp_path, capsys):
+    for n in (4, 5):
+        run_cli(["random-code", "--D", "3", "--n", str(n), "--k", "1",
+                 "--seed", "3", "--out", str(tmp_path / f"c{n}.code")], capsys)
+    report = tmp_path / "c4.chan"
+    run_cli(["channel", "--code", str(tmp_path / "c4.code"), "--B", "1,2",
+             "--C", "3,4", "--out", str(report)], capsys)
+    rc, out, err = run_cli(["oracle-verify", "--report", str(report),
+                            "--code", str(tmp_path / "c5.code")], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "ShapeMismatch: qudits [5] not covered by the report's B and C\n"
 
 
 def test_channel_emit_choi_builds_the_choi_state_once(tmp_path, capsys,
@@ -491,6 +506,48 @@ def test_channel_side_errors_name_one_based_qudits(tmp_path, capsys, b, c,
                             "--C", c], capsys)
     assert (rc, out) == (1, "")
     assert err == f"ShapeMismatch: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["canonicalize", "--state", "{bad}", "--parts", "1/2"],
+    ["crt-decompose", "--state", "{bad}", "--out-prefix", "{dir}/f"],
+    ["channel", "--code", "{bad}", "--B", "1", "--C", "2"],
+    ["oracle-verify", "--report", "{bad}", "--state", "{dir}/s.stab"],
+    ["oracle-verify", "--report", "{dir}/s.nf", "--state", "{bad}"],
+    ["oracle-verify", "--report", "{dir}/c.chan", "--code", "{bad}"],
+], ids=["canonicalize-state", "crt-decompose-state", "channel-code",
+        "oracle-verify-report", "oracle-verify-state", "oracle-verify-code"])
+def test_non_utf8_input_is_a_format_error(tmp_path, capsys, args):
+    from qstab import formats
+    from qstab.stabilizer import epr_group
+
+    (tmp_path / "s.stab").write_text(formats.render_stabilizer(epr_group(3)))
+    run_cli(["canonicalize", "--state", str(tmp_path / "s.stab"),
+             "--parts", "1/2", "--out", str(tmp_path / "s.nf")], capsys)
+    run_cli(["random-code", "--D", "3", "--n", "2", "--k", "1", "--seed", "1",
+             "--out", str(tmp_path / "c.code")], capsys)
+    run_cli(["channel", "--code", str(tmp_path / "c.code"), "--B", "1",
+             "--C", "2", "--out", str(tmp_path / "c.chan")], capsys)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfeQSTAB1 stabilizer\n")
+    rc, out, err = run_cli([a.format(bad=bad, dir=tmp_path) for a in args],
+                           capsys)
+    assert (rc, out) == (1, "")
+    assert err == (f"FormatError: {bad} is not UTF-8 text: 'utf-8' codec "
+                   "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+def test_random_code_refuses_a_graph_no_code_file_holds(tmp_path, capsys):
+    from qstab import formats
+
+    out = tmp_path / "big.code"
+    n = formats.MAX_GRAPH_N + 1
+    rc, stdout, err = run_cli(["random-code", "--D", "3", "--n", str(n),
+                               "--k", "1", "--seed", "1", "--out", str(out)],
+                              capsys)
+    assert (rc, stdout) == (1, "")
+    assert err == f"FormatError: graph size n={n} outside 0..{formats.MAX_GRAPH_N}\n"
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -118,7 +118,7 @@ REPORTS = {".nf": (formats.parse_normal_form, formats.render_normal_form),
            ".chan": (formats.parse_channel_report, formats.render_channel_report)}
 # the normal-form parser looks ahead for these tags to find its blocks, so a
 # renamed one is rejected where the block it opened fails to parse
-LOOKAHEAD_TAGS = ("composite-min", "tableau", "factor")
+LOOKAHEAD_TAGS = ("tableau",)
 
 
 @pytest.mark.parametrize("name", sorted(
