@@ -48,8 +48,10 @@ have D^n elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import linalg
 from .clifford import Gate, conjugate_rows, phase_fix, pivot_part_gates
@@ -61,7 +63,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize, inv_mod
-from .pauli import from_row, row_power, to_row, x_op
+from .pauli import pauli_row, row_power
 from .stabilizer import (
     StabilizerGroup,
     epr_pair_generators,
@@ -141,15 +143,18 @@ class NormalForm:
         """(prime, form) per prime factor of D; at prime D, the form itself."""
         return self.factors or ((self.d, self),)
 
-    @property
-    def counts(self) -> dict[str, int]:
-        """The counts by report tag (m_ab is tagged m_AB): the role tally at
-        prime D, the minimum over the factor forms at composite D."""
+    @functools.cached_property
+    def counts(self) -> MappingProxyType:
+        """The counts by report tag (m_ab is tagged m_AB), read-only and
+        tallied once per form: the role tally at prime D, the minimum over
+        the factor forms at composite D."""
         if self.factors:
             tallies = [sub.counts for _, sub in self.factors]
-            return {tag: min(t[tag] for t in tallies) for tag in COUNT_PARTS}
+            return MappingProxyType({tag: min(t[tag] for t in tallies)
+                                     for tag in COUNT_PARTS})
         names = [names for names, _ in self.roles]
-        return {tag: names.count(idx) for tag, idx in COUNT_PARTS.items()}
+        return MappingProxyType({tag: names.count(idx)
+                                 for tag, idx in COUNT_PARTS.items()})
 
     # each count by its tag in lower case, read-only
     m_a, m_b, m_c, m_ab, m_ac, m_bc, m_abc = (
@@ -203,7 +208,7 @@ def is_exact(group: StabilizerGroup, nf: NormalForm) -> bool:
         if any(not allowed.issuperset(g.qudits) for g in circuit):
             return False
     gates = [g for circuit in nf.circuits for g in circuit]
-    rows = conjugate_rows(gates, [to_row(g) for g in group.gens], nf.d)
+    rows = conjugate_rows(gates, group.gens, nf.d)
     roles = [qudits for _, qudits in nf.roles]
     if sorted(q for role in roles for q in role) != list(range(nf.n)):
         return False
@@ -263,15 +268,6 @@ class _Extraction:
     def canonical(self) -> list[list[int]]:
         """Hold every active qudit: the canonical natural-order rows."""
         return self.hold(q for q in range(self.n) if q not in self.retired)
-
-    def row(self, x: dict[int, int], z: dict[int, int]) -> list[int]:
-        """Phase-free row with the given {qudit: exponent} X and Z entries."""
-        row = [0] * (2 * self.n + 1)
-        for q, e in x.items():
-            row[1 + q] = e % self.d
-        for q, e in z.items():
-            row[1 + self.n + q] = e % self.d
-        return row
 
     def apply(self, part_idx: int, gates: list[Gate],
               tracked: list[list[int]]) -> list[list[int]]:
@@ -364,7 +360,7 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
         return False
     target, (s,) = ctx.pivot(part_idx, part_active, [sub[0]], 0, "X")
     (s,) = ctx.strip_phase(part_idx, [s], 0, target, use_x=False)
-    if s != ctx.row({target: 1}, {}):
+    if s != pauli_row(ctx.n, ctx.d, {target: 1}):
         raise InternalInvariant("single-qudit pivot failed")
     ctx.singles.append((target, part_idx))
     ctx.retire([target], [s])
@@ -398,7 +394,8 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     _, tracked = ctx.pivot(pj, ay, tracked, 1, "X", qy)
     s_j, s_k = ctx.strip_phase(pi, tracked, 1, qx, use_x=False)
 
-    if s_k != ctx.row({qx: 1, qy: 1}, {}) or s_j != ctx.row({}, {qx: 1, qy: -1}):
+    if (s_k != pauli_row(ctx.n, ctx.d, {qx: 1, qy: 1})
+            or s_j != pauli_row(ctx.n, ctx.d, z={qx: 1, qy: -1})):
         raise InternalInvariant("EPR shaping failed")
     ctx.pairs.append((pi, pj, qx, qy))
     ctx.retire([qx, qy], [s_j, s_k])
@@ -441,8 +438,9 @@ def _extract_ghz_once(ctx: _Extraction) -> bool:
     _, tracked = ctx.pivot(1, aq[1], tracked, 2, "X", qb)
     t1, t2, t3 = ctx.strip_phase(2, tracked, 2, qc, use_x=False)
 
-    if (t1 != ctx.row({}, {qb: 1, qc: -1}) or t2 != ctx.row({}, {qa: -1, qb: 1})
-            or t3 != ctx.row({qa: 1, qb: 1, qc: 1}, {})):
+    if (t1 != pauli_row(ctx.n, ctx.d, z={qb: 1, qc: -1})
+            or t2 != pauli_row(ctx.n, ctx.d, z={qa: -1, qb: 1})
+            or t3 != pauli_row(ctx.n, ctx.d, {qa: 1, qb: 1, qc: 1})):
         raise InternalInvariant("GHZ shaping failed")
 
     ctx.triples.append((qa, qb, qc))
@@ -539,8 +537,8 @@ def extract_unentangled(group: StabilizerGroup,
     count = 0
     while _extract_single_once(ctx, 0):
         count += 1
-    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
-        x_op(group.d, group.n, q) for q, _ in ctx.singles)
+    gens = tuple(ctx.canonical()) + tuple(
+        pauli_row(group.n, group.d, {q: 1}) for q, _ in ctx.singles)
     return StabilizerGroup(group.d, group.n, gens), tuple(ctx.circuits[0]), count
 
 
@@ -558,7 +556,7 @@ def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     if not _extract_epr_once(ctx, 0, 1):
         return None
     _, _, qx, qy = ctx.pairs[0]
-    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
+    gens = tuple(ctx.canonical()) + tuple(
         epr_pair_generators(group.d, group.n, qx, qy))
     return (StabilizerGroup(group.d, group.n, gens),
             (tuple(ctx.circuits[0]), tuple(ctx.circuits[1])), (qx, qy))
@@ -586,7 +584,7 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
     if not _extract_ghz_once(ctx):
         return None
     qa, qb, qc = ctx.triples[0]
-    gens = tuple(from_row(group.d, row) for row in ctx.canonical()) + tuple(
+    gens = tuple(ctx.canonical()) + tuple(
         ghz_generators(group.d, group.n, qa, qb, qc))
     return (StabilizerGroup(group.d, group.n, gens),
             tuple(tuple(c) for c in ctx.circuits),

@@ -9,10 +9,13 @@ channel decomposition directly, and `SENDS` says what each role sends:
   GHZ input,B,C   perfectly decohering channel    (Z to both)
   EPR input<->C   depolarizing channel to B       (X and Z to C)
 
-Input-side Pauli groups are stored in the transformed input basis; the
-input-side gate list is recorded so membership queries for original-basis
-operators conjugate through it first (the transpose enters because an
-input-side Choi unitary acts transposed on the isometry).
+Coding generators, the Choi state's generators and the information groups
+are [gamma, x, z] rows; the Choi rows are built directly, in the layout of
+bench/checker.choi_rows. Input-side Pauli groups are stored in the
+transformed input basis; the input-side gate list is recorded so membership
+queries for original-basis operators conjugate through it first (the
+transpose enters because an input-side Choi unitary acts transposed on the
+isometry).
 """
 
 from __future__ import annotations
@@ -36,18 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import factorize
-from .pauli import (
-    PauliProduct,
-    embed,
-    from_exponents,
-    from_row,
-    inverse,
-    multiply,
-    phase_op,
-    to_row,
-    x_op,
-    z_op,
-)
+from .pauli import pauli_row, reduce_row
 from .stabilizer import (
     GraphAdjacency,
     StabilizerGroup,
@@ -59,13 +51,14 @@ from .stabilizer import (
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """An [[n, k]]_D additive graph code: graph plus Z-type coding group."""
+    """An [[n, k]]_D additive graph code: graph plus Z-type coding group,
+    whose generators are [gamma, x, z] rows, stored reduced, as tuples."""
 
     n: int
     k: int
     d: int
     graph: GraphAdjacency
-    coding_gens: tuple[PauliProduct, ...]
+    coding_gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if not factorize(self.d).is_prime:
@@ -74,14 +67,14 @@ class CodeSpec:
             raise ShapeMismatch("graph size differs from n")
         if len(self.coding_gens) != self.k:
             raise InvalidCode(f"expected {self.k} coding generators")
-        rows = []
-        for f in self.coding_gens:
-            if f.d != self.d or f.n != self.n:
-                raise ShapeMismatch("coding generator shape differs from code")
-            if any(f.x) or f.gamma != 0:
-                raise InvalidCode("coding generators must be plain Z products")
-            rows.append(list(f.z))
-        if rows and linalg.rank(rows, self.d) != self.k:
+        if any(len(f) != 2 * self.n + 1 for f in self.coding_gens):
+            raise ShapeMismatch("coding generator shape differs from code")
+        gens = tuple(reduce_row(f, self.d) for f in self.coding_gens)
+        object.__setattr__(self, "coding_gens", gens)
+        if any(any(f[:self.n + 1]) for f in gens):
+            raise InvalidCode("coding generators must be plain Z products")
+        if gens and linalg.rank([f[self.n + 1:] for f in gens],
+                                self.d) != self.k:
             raise InvalidCode("coding generators are dependent")
 
     @property
@@ -94,23 +87,21 @@ def code_to_choi_state(code: CodeSpec) -> StabilizerGroup:
 
     One generator per graph generator g_j, dressed with the input Z powers
     that cancel the phases of commuting g_j past the coding group; plus one
-    X_input (x) f^{-1} generator per coding generator.
+    X_input (x) f^{-1} generator per coding generator. Every factor is
+    phase-free and no Z meets an X, so each row has gamma 0.
     """
     d, n, k = code.d, code.n, code.k
-    total = k + n
-    out_slots = list(range(k, k + n))
-    gens: list[PauliProduct] = []
+    zs = [f[n + 1:] for f in code.coding_gens]
+    rows = []
     for j, g in enumerate(graph_generators(code.graph, d)):
         # beta_{jl} is the commutation phase of g_j with f_l: the Z exponent
         # of f_l at vertex j, because g_j carries X only at vertex j
-        z_in = [(-code.coding_gens[length].z[j]) % d for length in range(k)]
-        gens.append(multiply(from_exponents(d, [0] * total, z_in + [0] * n),
-                             embed(g, total, out_slots)))
-    for length in range(k):
-        gens.append(multiply(x_op(d, total, length),
-                             embed(inverse(code.coding_gens[length]), total,
-                                   out_slots)))
-    choi = StabilizerGroup(d, total, tuple(gens))
+        rows.append([0] + [0] * k + g[1:n + 1] + [-z[j] % d for z in zs]
+                    + g[n + 1:])
+    for length, z in enumerate(zs):
+        rows.append([0] + [int(i == length) for i in range(k)] + [0] * (n + k)
+                    + [-v % d for v in z])
+    choi = StabilizerGroup(d, k + n, tuple(rows))
     if reduced_rank(choi, list(range(k))) != d**k:
         raise InternalInvariant("Choi input marginal is not maximally mixed")
     return choi
@@ -136,10 +127,9 @@ def graph_choi_to_code(adj: GraphAdjacency, k: int,
     out_graph = GraphAdjacency(
         n, tuple(tuple(adj.weights[i][j] for j in range(k, total))
                  for i in range(k, total)))
-    coding = tuple(
-        from_exponents(d, [0] * n,
-                       [adj.weights[length][j] % d for j in range(k, total)])
-        for length in range(k))
+    coding = tuple(pauli_row(n, d, z={j - k: adj.weights[length][j]
+                                      for j in range(k, total)})
+                   for length in range(k))
     input_gates = [cphase(i, j, adj.weights[i][j])
                    for i in range(k) for j in range(i + 1, k)
                    if adj.weights[i][j] % d]
@@ -178,8 +168,8 @@ class ChannelAnalysis:
     out_c: tuple[int, ...]
     choi: StabilizerGroup
     normal_form: NormalForm
-    info_b: tuple[PauliProduct, ...]
-    info_c: tuple[PauliProduct, ...]
+    info_b: tuple[tuple[int, ...], ...]
+    info_c: tuple[tuple[int, ...], ...]
 
     # each capacity in qudits by its tag in lower case, read-only
     q_b, c_b, q_c, c_c = (
@@ -223,36 +213,36 @@ def analyze_channel(code: CodeSpec, out_b, out_c) -> ChannelAnalysis:
 
 
 def _info_groups(d: int, k: int,
-                 nf: NormalForm) -> tuple[tuple[PauliProduct, ...], ...]:
-    """Subset information groups in the transformed input basis: the phase
-    generator, then what `SENDS` says each role's input slot q sends to the
-    side, as X_q and Z_q, slot by slot in ascending order."""
+                 nf: NormalForm) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Subset information groups in the transformed input basis, as rows:
+    the phase generator, then what `SENDS` says each role's input slot q
+    sends to the side, as X_q and Z_q, slot by slot in ascending order."""
     slots = {tag: sorted(qudits[0] for names, qudits in nf.roles
                          if names == COUNT_PARTS[tag]) for tag in SENDS}
-    ops = {"X": x_op, "Z": z_op}
-    return tuple((phase_op(d, k, 1),) + tuple(
-        ops[p](d, k, q) for tag, sent in SENDS.items() for q in slots[tag]
+    column = {"X": 1, "Z": 1 + k}  # of qudit 0's exponent
+
+    def unit(c: int) -> tuple[int, ...]:
+        return tuple(int(i == c) for i in range(2 * k + 1))
+    return tuple((unit(0),) + tuple(
+        unit(column[p] + q) for tag, sent in SENDS.items() for q in slots[tag]
         for p in sent[side]) for side in (0, 1))
 
 
-def centralizer_in_pauli(gens, d: int, k: int) -> tuple[PauliProduct, ...]:
-    """Generators of the centralizer of `gens` inside the k-qudit Pauli group.
+def centralizer_in_pauli(gens, d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Generator rows of the centralizer of the rows `gens` inside the
+    k-qudit Pauli group.
 
     The exponent vectors of the centralizer form the symplectic nullspace of
     the generators' exponent matrix; the phase generator is always included.
     """
-    rows = []
-    for g in gens:
-        if any(g.x) or any(g.z):
-            rows.append([v % d for v in g.z] + [(-v) % d for v in g.x])
-    out: list[PauliProduct] = [phase_op(d, k, 1)]
-    for v in linalg.nullspace(rows or [[0] * (2 * k)], d):
-        out.append(from_exponents(d, v[:k], v[k:]))
-    return tuple(out)
+    rows = [[*g[k + 1:], *(-v % d for v in g[1:k + 1])]
+            for g in gens if any(g[1:])]
+    return ((1,) + (0,) * (2 * k),) + tuple(
+        (0, *v) for v in linalg.nullspace(rows or [[0] * (2 * k)], d))
 
 
 def _pattern_span(gens, d: int, k: int) -> list[list[int]]:
-    return linalg.rref([list(g.x) + list(g.z) for g in gens], d)[0]
+    return linalg.rref([g[1:] for g in gens], d)[0]
 
 
 def pauli_groups_equal(a, b, d: int, k: int) -> bool:
@@ -269,25 +259,27 @@ def verify_duality(analysis: ChannelAnalysis) -> bool:
             and pauli_groups_equal(analysis.info_c, cent_b, d, k))
 
 
-def transpose_pauli(p: PauliProduct) -> PauliProduct:
-    """Matrix transpose in the computational basis: x -> -x with an omega
-    correction from reordering."""
-    gamma = p.gamma + 2 * sum(a * b for a, b in zip(p.x, p.z))
-    return PauliProduct(p.d, gamma, tuple((-v) % p.d for v in p.x), p.z)
+def transpose_pauli(row, d: int) -> tuple[int, ...]:
+    """Matrix transpose in the computational basis of the reduced row:
+    x -> -x with an omega correction from reordering."""
+    n = len(row) // 2
+    x, z = row[1:n + 1], row[n + 1:]
+    gamma = row[0] + 2 * sum(a * b for a, b in zip(x, z))
+    return (gamma % (2 * d), *(-v % d for v in x), *z)
 
 
 def to_original_input_basis(analysis: ChannelAnalysis,
-                            paulis) -> tuple[PauliProduct, ...]:
-    """Map transformed-basis input Paulis to the original input basis.
+                            rows) -> tuple[tuple[int, ...], ...]:
+    """Map transformed-basis input Pauli rows to the original input basis.
 
     The recorded Choi-side input unitary W acts on the isometry as W^T, so
     the original-basis operator is W^T p (W^T)^dag = (W^dag p^T W)^T. The
     inverse circuit is built once and replayed on all rows in one pass.
     """
     d, k = analysis.code.d, analysis.code.k
-    if any(p.n != k for p in paulis):
+    if any(len(row) != 2 * k + 1 for row in rows):
         raise ShapeMismatch("operators must live on the k input qudits")
     # W acts on the inputs, qudits 0..k-1 of the Choi register, alone
     inv = inverse_gates(analysis.normal_form.circuits[0], d)
-    rows = conjugate_rows(inv, [to_row(transpose_pauli(p)) for p in paulis], d)
-    return tuple(transpose_pauli(from_row(d, row)) for row in rows)
+    moved = conjugate_rows(inv, [transpose_pauli(row, d) for row in rows], d)
+    return tuple(transpose_pauli(row, d) for row in moved)

@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .modring import inv_mod, is_prime, sqrt_mod
-from .pauli import PauliProduct, from_row, to_row, x_op, z_op
+from .pauli import PauliProduct, from_row, pauli_row, to_row
 from .stabilizer import checked_part
 
 # gate name -> (qudit count, whether the gate takes a parameter), in
@@ -208,8 +208,8 @@ def _w_inverse_word(d: int) -> tuple[Gate, ...]:
     powers of lambda, which trailing Z and X powers remove."""
     word = [smult(0, d - 1), fourier(0), phase_w(0), fourier(0), phase_w(0),
             fourier(0)]
-    x_row, z_row = conjugate_rows([phase_w(0)] + word,
-                                  [to_row(op(d, 1, 0)) for op in (x_op, z_op)], d)
+    x_row, z_row = conjugate_rows([phase_w(0)] + word, [[0, 1, 0], [0, 0, 1]],
+                                  d)
     return tuple(word + phase_fix(x_row, 0, False, d)
                  + phase_fix(z_row, 0, True, d))
 
@@ -312,7 +312,7 @@ def pivot_to_x1(p: PauliProduct, part, target: int | None = None,
     (moved,) = conjugate_rows(gates, [to_row(p)], p.d)
     if moved[0] % 2 != 0:
         raise InvalidStabilizer("operator has p^D = -I; phase not removable")
-    expected = (z_op(p.d, p.n, target) if want_z else x_op(p.d, p.n, target))
-    if moved[1:] != to_row(expected)[1:]:
+    x, z = ({}, {target: 1}) if want_z else ({target: 1}, {})
+    if moved[1:] != pauli_row(p.n, p.d, x, z)[1:]:
         raise InvalidStabilizer("pivot failed to normalize the operator")
     return tuple(gates + phase_fix(moved, target, want_z, p.d))

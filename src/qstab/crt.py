@@ -8,7 +8,8 @@ Bezout identity u*d2 + v*d1 = 1. Generators split through the order-coprime
 powers g^{mu_1 delta_2} and g^{mu_2 delta_1}, which land entirely on one
 component each. A composite D decomposes one prime p at a time: the order-p
 component of each generator is one-sided under the split D = p * D/p, and
-its Z_p side generates the factor at p."""
+its Z_p side generates the factor at p. All of it splits [gamma, x, z] rows
+column by column; split_pauli and split_generator wrap it for PauliProducts."""
 
 from __future__ import annotations
 
@@ -16,34 +17,39 @@ import math
 
 from .errors import InternalInvariant, InvalidStabilizer, NotAState
 from .modring import CrtSplit, factorize, inv_mod, make_split
-from .pauli import PauliProduct, from_row, order, power
+from .pauli import PauliProduct, from_row, row_order, row_power, to_row
 from .stabilizer import StabilizerGroup, _sylow_rows
 
 
+def split_row(row, split: CrtSplit) -> tuple[list[int], list[int]]:
+    """CRT components of the reduced row, the phase split by Bezout."""
+    n = len(row) // 2
+    return tuple([u * row[0] % (2 * di)] + [v % di for v in row[1:n + 1]]
+                 + [r * v % di for v in row[n + 1:]]
+                 for di, u, r in ((split.d1, split.u, split.r1),
+                                  (split.d2, split.v, split.r2)))
+
+
 def split_pauli(p: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliProduct]:
-    """Components of the CRT image of p, with the phase split by Bezout."""
-    d1, d2 = split.d1, split.d2
-    if d1 * d2 != p.d:
-        raise InvalidStabilizer(f"split {d1}x{d2} does not match D={p.d}")
-    x1 = tuple(v % d1 for v in p.x)
-    z1 = tuple((split.r1 * v) % d1 for v in p.z)
-    x2 = tuple(v % d2 for v in p.x)
-    z2 = tuple((split.r2 * v) % d2 for v in p.z)
-    g1 = (split.u * p.gamma) % (2 * d1)
-    g2 = (split.v * p.gamma) % (2 * d2)
-    return PauliProduct(d1, g1, x1, z1), PauliProduct(d2, g2, x2, z2)
+    """Components of the CRT image of p (see split_row)."""
+    if split.d1 * split.d2 != p.d:
+        raise InvalidStabilizer(
+            f"split {split.d1}x{split.d2} does not match D={p.d}")
+    return tuple(from_row(di, row) for di, row in
+                 zip((split.d1, split.d2), split_row(to_row(p), split)))
 
 
-def _one_sided(p: PauliProduct, split: CrtSplit, side: int) -> PauliProduct:
+def _one_sided(row, split: CrtSplit, side: int) -> list[int]:
     """Extract the side-`side` component of a CRT image that is trivial on the
     other side, folding the whole scalar prefactor into the kept component."""
-    first, second = split_pauli(p, split)
+    first, second = split_row(row, split)
     keep, other = (first, second) if side == 1 else (second, first)
-    if not other.is_phase():
+    other_d = split.d2 if side == 1 else split.d1
+    if any(other[1:]):
         raise InternalInvariant("component power is not one-sided")
-    if p.gamma % other.d != 0:
+    if row[0] % other_d != 0:
         raise InternalInvariant("scalar prefactor does not embed in the component")
-    return PauliProduct(keep.d, p.gamma // other.d, keep.x, keep.z)
+    return [row[0] // other_d] + keep[1:]
 
 
 def split_generator(g: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, PauliProduct]:
@@ -52,19 +58,20 @@ def split_generator(g: PauliProduct, split: CrtSplit) -> tuple[PauliProduct, Pau
     Requires g^order(g) = I; the delta-coprime powers land entirely on one
     component each, so the scalar is always expressible there.
     """
-    delta = order(g)
-    if not power(g, delta).is_identity():
+    row, d = to_row(g), g.d
+    delta = row_order(row, d)
+    if any(row_power(row, delta, d)):
         raise InvalidStabilizer("generator does not satisfy g^order(g) = I")
     delta1, delta2 = math.gcd(delta, split.d1), math.gcd(delta, split.d2)
     if delta1 * delta2 != delta:
         raise InternalInvariant("order does not factor over the coprime split")
     mu1 = inv_mod(delta2 % delta1, delta1) if delta1 > 1 else 0
     mu2 = inv_mod(delta1 % delta2, delta2) if delta2 > 1 else 0
-    h1 = _one_sided(power(g, mu1 * delta2), split, 1)
-    h2 = _one_sided(power(g, mu2 * delta1), split, 2)
-    if order(h1) != delta1 or order(h2) != delta2:
+    h1 = _one_sided(row_power(row, mu1 * delta2, d), split, 1)
+    h2 = _one_sided(row_power(row, mu2 * delta1, d), split, 2)
+    if row_order(h1, split.d1) != delta1 or row_order(h2, split.d2) != delta2:
         raise InternalInvariant("component orders do not match the order split")
-    return h1, h2
+    return from_row(split.d1, h1), from_row(split.d2, h2)
 
 
 def decompose_group(group: StabilizerGroup) -> list[tuple[int, StabilizerGroup]]:
@@ -80,7 +87,7 @@ def decompose_group(group: StabilizerGroup) -> list[tuple[int, StabilizerGroup]]
     out = []
     for p in mod.primes:
         split = make_split(group.d, p)
-        gens = tuple(_one_sided(from_row(group.d, row), split, 1)
+        gens = tuple(_one_sided(row, split, 1)
                      for row in _sylow_rows(group.gens, p, group.d))
         out.append((p, StabilizerGroup(p, group.n, gens)))
     if math.prod(fac.size for _, fac in out) != group.size:

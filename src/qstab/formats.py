@@ -7,7 +7,8 @@ in files (0-based in memory). Output is byte-stable: rendering the parse of a
 rendered value reproduces the bytes, which is what the golden-file tests pin.
 The two report parsers check their input by rendering what they read: the
 text must match that rendering token for token (spacing and blank lines are
-free). Input files (stabilizer, code) accept unreduced exponents.
+free). Input files (stabilizer, code) accept unreduced exponents; Pauli
+lines parse to reduced [gamma, x, z] rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .channel import ChannelAnalysis, CodeSpec, bits, capacities
 from .clifford import GATE_SHAPES, Gate
 from .errors import FormatError
 from .modring import factorize
-from .pauli import PauliProduct, from_text, to_text
+from .pauli import from_text, to_text
 from .stabilizer import GraphAdjacency, StabilizerGroup
 
 MAGIC = "QSTAB1"
@@ -83,8 +84,8 @@ def parse_stabilizer(text: str) -> StabilizerGroup:
     gens = []
     for ln in lines[1:]:
         g = from_text(ln, d)
-        if g.n != n:
-            raise FormatError(f"generator on {g.n} qudits in an n={n} file")
+        if len(g) != 2 * n + 1:
+            raise FormatError(f"generator on {len(g) // 2} qudits in an n={n} file")
         gens.append(g)
     return StabilizerGroup(d, n, tuple(gens))
 
@@ -139,7 +140,7 @@ def parse_code(text: str) -> CodeSpec:
     coding = tuple(from_text(ln, d) for ln in lines[coding_at + 1:])
     if len(coding) != k:
         raise FormatError(f"expected {k} coding generators, got {len(coding)}")
-    if any(f.n != n for f in coding):
+    if any(len(f) != 2 * n + 1 for f in coding):
         raise FormatError(f"coding generator width differs from n={n}")
     return CodeSpec(n, k, d, _parse_edges(lines[1:coding_at], n), coding)
 
@@ -342,8 +343,8 @@ class ChannelReport:
     out_b: tuple[int, ...]
     out_c: tuple[int, ...]
     counts: dict[str, int]
-    info_b: tuple[PauliProduct, ...]
-    info_c: tuple[PauliProduct, ...]
+    info_b: tuple[tuple[int, ...], ...]
+    info_c: tuple[tuple[int, ...], ...]
     input_gates: tuple[Gate, ...]
     bounds: bool = False
 

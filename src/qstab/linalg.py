@@ -1,7 +1,7 @@
 """The one elimination engine: echelon forms of [gamma, x, z] rows over F_p.
 
-A row [gamma, x_1 .. x_n, z_1 .. z_n] is a Pauli product as pauli.to_row
-gives it. `echelon` eliminates rows under a caller-given column order, and
+A row [gamma, x_1 .. x_n, z_1 .. z_n] is a Pauli product as the package
+holds it. `echelon` eliminates rows under a caller-given column order, and
 each row operation is one exact Pauli product row * head^f, so phases ride
 along. A row operation touches only the head's nonzero columns (retired
 qudits and the other pivots are zero there) and copies the rest unreduced,
@@ -43,7 +43,7 @@ def echelon(rows: list[list[int]], columns, p: int,
             d: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Reduced echelon form of `rows` mod p on `columns`, in that order.
 
-    Rows come reduced (gamma mod 2D, exponents mod D) as pauli.to_row gives
+    Rows come reduced (gamma mod 2D, exponents mod D) as the package holds
     them, and are taken in order as an incremental basis, so the basis spans
     the earliest rows independent mod p on `columns`. Returns (basis, pivots,
     rest): basis rows sorted by pivot position in `columns`, each with its

@@ -135,17 +135,17 @@ def _outer_sum(tables, rows: tuple[int, ...] = ()) -> np.ndarray:
 
 
 def _pauli_actions(paulis, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, phase), one row per Pauli p, with p |m> = phase[m] |idx[m]>:
+    """(idx, phase) per [gamma, x, z] row p, with p |m> = phase[m] |idx[m]>:
     X^x Z^z |m> = omega^{z.m} |m - x>, times lambda^gamma. Phases come from
     the 2D powers of lambda, or from exp when the entries are fewer; at n = 0,
     where the dense cap leaves D unbounded, no D-sized table is built."""
     rows = (len(paulis),)
     ket = np.arange(d if n else 1)
-    xs, zs = (np.array([getattr(p, f) for p in paulis], dtype=int)
-              .reshape(rows + (n,)).T[:, :, None] for f in "xz")
+    table = np.array(paulis, dtype=int).reshape(rows + (2 * n + 1,))
+    xs, zs = (table[:, cols].T[:, :, None]
+              for cols in (slice(1, n + 1), slice(n + 1, None)))
     idx = _outer_sum((ket - xs) % d * _digit_weights(d, n)[:, None, None], rows)
-    lam_exp = (np.array([p.gamma for p in paulis], dtype=int)[:, None]
-               + 2 * _outer_sum(ket * zs % d, rows)) % (2 * d)
+    lam_exp = (table[:, :1] + 2 * _outer_sum(ket * zs % d, rows)) % (2 * d)
     if lam_exp.size > 2 * d:
         return idx, np.exp(1j * np.pi / d * np.arange(2 * d))[lam_exp]
     return idx, np.exp(1j * np.pi / d * lam_exp)

@@ -6,6 +6,11 @@ Z_{2D}, and per-qudit normal ordering X-before-Z. The single exponent gamma
 over Z_{2D} is the minimal phase group closed under multiplication, so all
 phase bookkeeping is exact integer arithmetic.
 
+The package holds a Pauli product as its reduced row [gamma, x_1 .. x_n,
+z_1 .. z_n] (gamma mod 2D, exponents mod D) from parse to render: lists on
+the exact path, tuples once stored. PauliProduct is the dense oracle's and
+the tests' reference; its multiply, power and order wrap the row functions.
+
 Sign conventions follow the defining matrices X = sum_j |j><j+1| and
 Z = sum_j omega^j |j><j|, under which X Z = omega Z X. Consequences used
 throughout:
@@ -59,7 +64,7 @@ class PauliProduct:
         return tuple(i for i in range(self.n) if self.x[i] or self.z[i])
 
     def __str__(self) -> str:
-        return to_text(self)
+        return to_text(to_row(self))
 
 
 def identity(d: int, n: int) -> PauliProduct:
@@ -77,15 +82,11 @@ def from_exponents(d: int, x: list[int] | tuple[int, ...],
 
 
 def x_op(d: int, n: int, qudit: int, a: int = 1) -> PauliProduct:
-    x = [0] * n
-    x[qudit] = a
-    return PauliProduct(d, 0, tuple(x), (0,) * n)
+    return from_row(d, pauli_row(n, d, {qudit: a}))
 
 
 def z_op(d: int, n: int, qudit: int, b: int = 1) -> PauliProduct:
-    z = [0] * n
-    z[qudit] = b
-    return PauliProduct(d, 0, (0,) * n, tuple(z))
+    return from_row(d, pauli_row(n, d, z={qudit: b}))
 
 
 def _check_shapes(p: PauliProduct, q: PauliProduct) -> None:
@@ -103,6 +104,21 @@ def from_row(d: int, row: list[int]) -> PauliProduct:
     """The Pauli product of a [gamma, x, z] row (inverse of to_row)."""
     n = len(row) // 2
     return PauliProduct(d, row[0], tuple(row[1:n + 1]), tuple(row[n + 1:]))
+
+
+def reduce_row(row, d: int) -> tuple[int, ...]:
+    """The row as stored: a tuple with gamma mod 2D and exponents mod D."""
+    return (row[0] % (2 * d), *(v % d for v in row[1:]))
+
+
+def pauli_row(n: int, d: int, x=None, z=None, gamma: int = 0) -> list[int]:
+    """Reduced row of lambda^gamma times the X and Z powers given as
+    {qudit: exponent} maps on an n-qudit register."""
+    row = [gamma % (2 * d)] + [0] * (2 * n)
+    for offset, exponents in ((1, x), (1 + n, z)):
+        for q, e in (exponents or {}).items():
+            row[offset + q] = e % d
+    return row
 
 
 def row_multiply(a: list[int], b: list[int], d: int) -> list[int]:
@@ -151,13 +167,17 @@ def commutation_phase(p: PauliProduct, q: PauliProduct) -> int:
     return alpha % p.d
 
 
-def order(p: PauliProduct) -> int:
-    """Smallest a in [1, D] with p^a proportional to the identity.
+def row_order(row, d: int) -> int:
+    """Smallest a in [1, D] with row^a proportional to the identity.
 
     Equals D / gcd(D, x_1, ..., x_n, z_1, ..., z_n); always divides D.
     """
-    g = math.gcd(p.d, *p.x, *p.z) if p.n else p.d
-    return p.d // g
+    return d // math.gcd(d, *row[1:])
+
+
+def order(p: PauliProduct) -> int:
+    """The order of p (see row_order)."""
+    return row_order(to_row(p), p.d)
 
 
 def tensor(p: PauliProduct, q: PauliProduct) -> PauliProduct:
@@ -175,24 +195,16 @@ def proportional(p: PauliProduct, q: PauliProduct) -> int | None:
     return (p.gamma - q.gamma) % (2 * p.d)
 
 
-def embed(p: PauliProduct, n: int, at: list[int] | tuple[int, ...]) -> PauliProduct:
-    """Place p's qudit i at position at[i] of an n-qudit register."""
-    x = [0] * n
-    z = [0] * n
-    for i, q in enumerate(at):
-        x[q] = p.x[i]
-        z[q] = p.z[i]
-    return PauliProduct(p.d, p.gamma, tuple(x), tuple(z))
+def to_text(row) -> str:
+    """Serialize the row as `g | x1 ... xn | z1 ... zn`."""
+    n = len(row) // 2
+    xs = " ".join(map(str, row[1:n + 1]))
+    zs = " ".join(map(str, row[n + 1:]))
+    return f"{row[0]} {_TEXT_SEP} {xs} {_TEXT_SEP} {zs}".rstrip()
 
 
-def to_text(p: PauliProduct) -> str:
-    """Serialize as `g | x1 ... xn | z1 ... zn`."""
-    xs = " ".join(str(v) for v in p.x)
-    zs = " ".join(str(v) for v in p.z)
-    return f"{p.gamma} {_TEXT_SEP} {xs} {_TEXT_SEP} {zs}".rstrip()
-
-
-def from_text(line: str, d: int) -> PauliProduct:
+def from_text(line: str, d: int) -> tuple[int, ...]:
+    """The reduced row of a `g | x.. | z..` line (inverse of to_text)."""
     from .errors import FormatError
 
     parts = line.split(_TEXT_SEP)
@@ -200,10 +212,10 @@ def from_text(line: str, d: int) -> PauliProduct:
         raise FormatError(f"expected 'g | x.. | z..', got {line!r}")
     try:
         gamma = int(parts[0])
-        x = tuple(int(t) for t in parts[1].split())
-        z = tuple(int(t) for t in parts[2].split())
+        x = [int(t) for t in parts[1].split()]
+        z = [int(t) for t in parts[2].split()]
     except ValueError as exc:
         raise FormatError(f"bad integer in Pauli line {line!r}") from exc
     if len(x) != len(z):
         raise FormatError(f"x/z length mismatch in {line!r}")
-    return PauliProduct(d, gamma, x, z)
+    return reduce_row([gamma, *x, *z], d)

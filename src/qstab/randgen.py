@@ -24,7 +24,7 @@ from .clifford import (
     smult,
 )
 from .errors import InvalidCode, NonPrimeD, ShapeMismatch
-from .pauli import PauliProduct, from_exponents, from_row, to_row
+from .pauli import pauli_row
 from .stabilizer import GraphAdjacency, StabilizerGroup, from_graph
 from . import linalg
 from .modring import factorize
@@ -83,9 +83,8 @@ def random_part_gates(d: int, qudits, rng: random.Random,
 
 
 def scramble_group(group: StabilizerGroup, gates) -> StabilizerGroup:
-    rows = conjugate_rows(gates, map(to_row, group.gens), group.d)
-    return StabilizerGroup(group.d, group.n,
-                           tuple(from_row(group.d, row) for row in rows))
+    rows = conjugate_rows(gates, group.gens, group.d)
+    return StabilizerGroup(group.d, group.n, tuple(rows))
 
 
 def random_state(d: int, n: int, seed: int) -> StabilizerGroup:
@@ -108,7 +107,8 @@ def random_partition(n: int, parts: int, seed: int) -> list[list[int]]:
 
 def random_code(d: int, n: int, k: int, seed: int):
     """Seed-deterministic (graph, Z-type coding generators) for an [[n, k]]_D
-    code at prime D. Returns (GraphAdjacency, list of coding PauliProducts)."""
+    code at prime D. Returns (GraphAdjacency, list of coding generator
+    rows)."""
     mod = factorize(d)
     if not mod.is_prime:
         raise NonPrimeD("random codes are generated at prime D")
@@ -119,13 +119,8 @@ def random_code(d: int, n: int, k: int, seed: int):
     rng = random.Random(seed)
     graph = random_graph(d, n, rng)
     rows: list[list[int]] = []
-    gens: list[PauliProduct] = []
-    while len(gens) < k:
+    while len(rows) < k:
         z = [rng.randrange(d) for _ in range(n)]
-        if not any(z):
-            continue
-        if linalg.rank(rows + [z], d) != len(rows) + 1:
-            continue
-        rows.append(z)
-        gens.append(from_exponents(d, [0] * n, z))
-    return graph, gens
+        if any(z) and linalg.rank(rows + [z], d) == len(rows) + 1:
+            rows.append(z)
+    return graph, [pauli_row(n, d, z=dict(enumerate(z))) for z in rows]

@@ -1,12 +1,13 @@
 """Stabilizer groups, graph states, subgroups on parts, and generator algebra.
 
-Groups are lists of independent commuting Pauli products with g^order(g) = I
-exactly, over prime or squarefree D. Every independence, membership and
-subgroup question is answered by linalg.echelon per prime factor on the
-[gamma, x, z] rows of the generators' order-p (Sylow) parts, so phases stay
-exact and composite D, where Z_D is not a field, needs no coefficient
-lifting. The subgroup on a part eliminates the off-part columns first; the
-rows left zero off the part span it.
+Groups hold independent commuting generators with g^order(g) = I exactly,
+over prime or squarefree D, as reduced [gamma, x, z] rows (tuples), and
+every function here reads and returns rows. Every independence, membership
+and subgroup question is answered by linalg.echelon per prime factor on the
+rows of the generators' order-p (Sylow) parts, so phases stay exact and
+composite D, where Z_D is not a field, needs no coefficient lifting. The
+subgroup on a part eliminates the off-part columns first; the rows left
+zero off the part span it.
 
 Generator lists may be longer than n for intermediate objects; sizes always
 come from the product of generator orders, never from a |gens| = n assumption.
@@ -28,18 +29,12 @@ from .errors import (
 )
 from .modring import factorize, inv_mod
 from .pauli import (
-    PauliProduct,
-    from_exponents,
-    from_row,
-    identity,
-    multiply,
-    order,
-    power,
+    pauli_row,
+    reduce_row,
+    row_multiply,
+    row_order,
     row_power,
-    to_row,
     to_text,
-    x_op,
-    z_op,
 )
 
 
@@ -71,11 +66,12 @@ class GraphAdjacency:
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """Abelian group of independent Pauli products with g^order(g) = I."""
+    """Abelian group of independent Pauli products with g^order(g) = I,
+    given as [gamma, x, z] rows and stored reduced, as tuples."""
 
     d: int
     n: int
-    gens: tuple[PauliProduct, ...]
+    gens: tuple[tuple[int, ...], ...]
     # at prime D, the natural-order echelon rows validation computed: the
     # rows of reduce_generators, never mutated in place; None otherwise
     _canonical_rows: tuple[list[int], ...] | None = field(
@@ -85,26 +81,28 @@ class StabilizerGroup:
         mod = factorize(self.d)
         if not mod.squarefree:
             raise NotSquarefree(f"stabilizer groups need squarefree D, got {self.d}")
+        d, n = self.d, self.n
+        if any(len(g) != 2 * n + 1 for g in self.gens):
+            raise ShapeMismatch("generator shape differs from group shape")
+        gens = tuple(reduce_row(g, d) for g in self.gens)
+        object.__setattr__(self, "gens", gens)
         # the commutation phase of g and h is the dot product of
         # (x_g, z_g) with (z_h, -x_h)
         left, right = [], []
-        for g in self.gens:
-            if g.d != self.d or g.n != self.n:
-                raise ShapeMismatch("generator shape differs from group shape")
-            if any(row_power(to_row(g), order(g), self.d)):
+        for g in gens:
+            if any(row_power(g, row_order(g, d), d)):
                 raise InvalidStabilizer(
                     f"generator {to_text(g)} has g^order(g) != I")
-            left.append(g.x + g.z)
-            right.append(g.z + tuple(-v for v in g.x))
-        for a, b in itertools.combinations(range(len(self.gens)), 2):
-            if sum(map(operator.mul, left[a], right[b])) % self.d:
+            left.append(g[1:])
+            right.append(g[n + 1:] + tuple(-v for v in g[1:n + 1]))
+        for a, b in itertools.combinations(range(len(gens)), 2):
+            if sum(map(operator.mul, left[a], right[b])) % d:
                 raise InvalidStabilizer(
-                    f"generators {to_text(self.gens[a])} and "
-                    f"{to_text(self.gens[b])} do not commute")
+                    f"generators {to_text(gens[a])} and "
+                    f"{to_text(gens[b])} do not commute")
         for p in mod.primes:
-            rows = [to_row(g) for g in self.gens if order(g) % p == 0]
-            basis, _, rest = linalg.echelon(rows, range(1, 2 * self.n + 1),
-                                            p, self.d)
+            rows = [list(g) for g in gens if row_order(g, d) % p == 0]
+            basis, _, rest = linalg.echelon(rows, range(1, 2 * n + 1), p, d)
             if rest:
                 raise InvalidStabilizer(f"generators dependent mod {p}")
         if mod.is_prime:
@@ -114,7 +112,7 @@ class StabilizerGroup:
     def size(self) -> int:
         out = 1
         for g in self.gens:
-            out *= order(g)
+            out *= row_order(g, self.d)
         return out
 
     def is_state(self) -> bool:
@@ -123,12 +121,13 @@ class StabilizerGroup:
 
 
 def _sylow_rows(gens, p: int, d: int) -> list[list[int]]:
-    """Rows of the order-p parts of `gens` (skipping those that are I)."""
+    """Rows of the order-p parts of the rows `gens` (skipping those that
+    are I)."""
     rows = []
     for g in gens:
-        if order(g) % p == 0:
-            m = order(g) // p
-            rows.append(row_power(to_row(g), m * inv_mod(m % p, p), d))
+        if row_order(g, d) % p == 0:
+            m = row_order(g, d) // p
+            rows.append(row_power(g, m * inv_mod(m % p, p), d))
     return rows
 
 
@@ -137,27 +136,27 @@ def qudit_columns(n: int, qudits) -> list[int]:
     return [1 + q for q in qudits] + [1 + n + q for q in qudits]
 
 
-def reduce_generators(d: int, paulis: list[PauliProduct], n: int) -> list[PauliProduct]:
-    """Canonical independent generator list for the group generated by `paulis`.
+def reduce_generators(d: int, rows, n: int) -> list[list[int]]:
+    """Canonical independent generator rows for the group the rows generate.
 
     Per prime factor, the Sylow components are brought to reduced echelon
     form in natural column order by exact group operations (linalg.echelon).
     The per-prime basis is unique, which makes the output a canonical form:
     two generating sets of the same group reduce to identical lists.
     """
-    out: list[PauliProduct] = []
+    out: list[list[int]] = []
     for p in factorize(d).primes:
-        basis, _, rest = linalg.echelon(_sylow_rows(paulis, p, d),
+        basis, _, rest = linalg.echelon(_sylow_rows(rows, p, d),
                                         range(1, 2 * n + 1), p, d)
         if any(any(row) for row in rest):
             raise InvalidStabilizer("dependent generators with phase residue")
-        out.extend(from_row(d, row) for row in basis)
+        out.extend(basis)
     return out
 
 
 def canonical_form(group: StabilizerGroup) -> tuple[str, ...]:
     """Bit-exact canonical serialization; equal iff the groups are equal."""
-    reduced = reduce_generators(group.d, list(group.gens), group.n)
+    reduced = reduce_generators(group.d, group.gens, group.n)
     return tuple([f"D {group.d} n {group.n}"] + [to_text(g) for g in reduced])
 
 
@@ -166,14 +165,15 @@ def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
 
 
 def elements(group: StabilizerGroup):
-    """Iterate all |S| group elements exactly once."""
-    ranges = [range(order(g)) for g in group.gens]
+    """Iterate all |S| group elements exactly once, as reduced rows."""
+    d = group.d
+    ranges = [range(row_order(g, d)) for g in group.gens]
     for combo in itertools.product(*ranges):
-        el = identity(group.d, group.n)
+        el = pauli_row(group.n, d)
         for g, c in zip(group.gens, combo):
             if c:
-                el = multiply(el, power(g, c))
-        yield el
+                el = row_multiply(el, row_power(g, c, d), d)
+        yield tuple(el)
 
 
 def rows_on_part(rows: list[list[int]], n: int, part, p: int,
@@ -214,9 +214,8 @@ def subgroup_on_part(group: StabilizerGroup, part) -> StabilizerGroup:
     part = checked_part(part, group.n)
     gens = []
     for p in factorize(group.d).primes:
-        rows = rows_on_part(_sylow_rows(group.gens, p, group.d), group.n,
-                            part, p, group.d)[1]
-        gens.extend(from_row(group.d, row) for row in rows)
+        gens += rows_on_part(_sylow_rows(group.gens, p, group.d), group.n,
+                             part, p, group.d)[1]
     return StabilizerGroup(group.d, group.n, tuple(gens))
 
 
@@ -238,12 +237,11 @@ def reduced_rank(group: StabilizerGroup, part) -> int:
     return out
 
 
-def graph_generators(adj: GraphAdjacency, d: int) -> list[PauliProduct]:
-    """Graph-state generators: generator i is X_i times Z_j^{-w_ij} over
+def graph_generators(adj: GraphAdjacency, d: int) -> list[list[int]]:
+    """Graph-state generator rows: generator i is X_i times Z_j^{-w_ij} over
     neighbors."""
-    n = adj.n
-    return [from_exponents(d, [int(j == i) for j in range(n)],
-                           [-w % d for w in adj.weights[i]]) for i in range(n)]
+    return [pauli_row(adj.n, d, {i: 1}, dict(enumerate(-w for w in weights)))
+            for i, weights in enumerate(adj.weights)]
 
 
 def from_graph(adj: GraphAdjacency, d: int) -> StabilizerGroup:
@@ -262,22 +260,18 @@ def ghz_group(d: int) -> StabilizerGroup:
 
 
 def plus_state_group(d: int, n: int) -> StabilizerGroup:
-    return StabilizerGroup(d, n, tuple(x_op(d, n, i) for i in range(n)))
+    return StabilizerGroup(d, n, tuple(pauli_row(n, d, {i: 1})
+                                       for i in range(n)))
 
 
-def epr_pair_generators(d: int, n: int, qx: int, qy: int) -> list[PauliProduct]:
-    """EPR-pair generators embedded at qudits (qx, qy) of an n-register."""
-    return [
-        multiply(x_op(d, n, qx), x_op(d, n, qy)),
-        multiply(z_op(d, n, qx), z_op(d, n, qy, d - 1)),
-    ]
+def epr_pair_generators(d: int, n: int, qx: int, qy: int) -> list[list[int]]:
+    """EPR-pair generator rows embedded at qudits (qx, qy) of an n-register."""
+    return [pauli_row(n, d, {qx: 1, qy: 1}),
+            pauli_row(n, d, z={qx: 1, qy: -1})]
 
 
-def ghz_generators(d: int, n: int, qa: int, qb: int, qc: int) -> list[PauliProduct]:
-    """GHZ generators embedded at qudits (qa, qb, qc) of an n-register."""
-    xxx = multiply(multiply(x_op(d, n, qa), x_op(d, n, qb)), x_op(d, n, qc))
-    return [
-        xxx,
-        multiply(z_op(d, n, qa), z_op(d, n, qb, d - 1)),
-        multiply(z_op(d, n, qa), z_op(d, n, qc, d - 1)),
-    ]
+def ghz_generators(d: int, n: int, qa: int, qb: int, qc: int) -> list[list[int]]:
+    """GHZ generator rows embedded at qudits (qa, qb, qc) of an n-register."""
+    return [pauli_row(n, d, {qa: 1, qb: 1, qc: 1}),
+            pauli_row(n, d, z={qa: 1, qb: -1}),
+            pauli_row(n, d, z={qa: 1, qc: -1})]

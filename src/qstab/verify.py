@@ -105,7 +105,7 @@ def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
                                                   code.n, code.k)
             # rref drops the zero rows, the phase-only elements among them
             brute_rows = [list(x) + list(z) for x, z in brute]
-            mapped_rows = [list(g.x) + list(g.z) for g in gens]
+            mapped_rows = [g[1:] for g in gens]
             ok = ok and (linalg.rref(brute_rows, code.d)[0]
                          == linalg.rref(mapped_rows, code.d)[0])
         checks.append(("brute-force-info-groups", ok))

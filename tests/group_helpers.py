@@ -7,7 +7,7 @@ import random
 from qstab import linalg
 from qstab.errors import ShapeMismatch
 from qstab.modring import factorize
-from qstab.pauli import PauliProduct, identity, tensor, to_row, x_op
+from qstab.pauli import PauliProduct, from_row, identity, tensor, to_row, x_op
 from qstab.randgen import random_part_gates, scramble_group
 from qstab.stabilizer import (
     StabilizerGroup,
@@ -55,9 +55,9 @@ def tensor_groups(a: StabilizerGroup, b: StabilizerGroup) -> StabilizerGroup:
     """Group of the product state on the concatenated register."""
     if a.d != b.d:
         raise ShapeMismatch("dimensions differ")
-    gens = [tensor(g, identity(b.d, b.n)) for g in a.gens]
-    gens += [tensor(identity(a.d, a.n), g) for g in b.gens]
-    return StabilizerGroup(a.d, a.n + b.n, tuple(gens))
+    gens = [tensor(from_row(a.d, g), identity(b.d, b.n)) for g in a.gens]
+    gens += [tensor(identity(a.d, a.n), from_row(b.d, g)) for g in b.gens]
+    return StabilizerGroup(a.d, a.n + b.n, tuple(map(to_row, gens)))
 
 
 def planted_state(d: int, counts: dict[str, int],
@@ -77,13 +77,13 @@ def planted_state(d: int, counts: dict[str, int],
     n = sum(map(len, roles))
     qudits = iter(rng.sample(range(n), n))
     parts: list[list[int]] = [[], [], []]
-    gens: list[PauliProduct] = []
+    gens: list[list[int]] = []
     for role in roles:
         qs = [next(qudits) for _ in role]
         for q, pi in zip(qs, role):
             parts[pi].append(q)
         if len(qs) == 1:
-            gens.append(x_op(d, n, qs[0]))
+            gens.append(to_row(x_op(d, n, qs[0])))
         elif len(qs) == 2:
             gens.extend(epr_pair_generators(d, n, *qs))
         else:

@@ -7,7 +7,7 @@ canonical_form(conjugated input) == canonical_form(normal_form_group(nf)).
 
 from qstab.clifford import conjugate_rows
 from qstab.errors import InvalidStabilizer
-from qstab.pauli import PauliProduct, from_row, to_row, x_op
+from qstab.pauli import to_row, x_op
 from qstab.stabilizer import (
     StabilizerGroup,
     canonical_form,
@@ -18,9 +18,9 @@ from qstab.stabilizer import (
 
 def normal_form_group(nf) -> StabilizerGroup:
     """The exact group the conjugated input must equal (prime D)."""
-    gens: list[PauliProduct] = []
+    gens: list[list[int]] = []
     for q, _ in nf.singles:
-        gens.append(x_op(nf.d, nf.n, q))
+        gens.append(to_row(x_op(nf.d, nf.n, q)))
     for _, _, qx, qy in nf.pairs:
         gens.extend(epr_pair_generators(nf.d, nf.n, qx, qy))
     for qa, qb, qc in nf.triples:
@@ -41,7 +41,6 @@ def reference_is_exact(group: StabilizerGroup, nf) -> bool:
     except (InvalidStabilizer, IndexError):
         return False
     gates = [g for circuit in nf.circuits for g in circuit]
-    rows = conjugate_rows(gates, [to_row(g) for g in group.gens], group.d)
-    conjugated = StabilizerGroup(
-        group.d, group.n, tuple(from_row(group.d, row) for row in rows))
+    rows = conjugate_rows(gates, group.gens, group.d)
+    conjugated = StabilizerGroup(group.d, group.n, tuple(rows))
     return canonical_form(conjugated) == canonical_form(target)

@@ -25,7 +25,7 @@ from qstab.channel import (
 )
 from qstab.clifford import conjugate
 from qstab.crt import decompose_state
-from qstab.pauli import from_exponents, phase_op, x_op, z_op
+from qstab.pauli import from_exponents, from_row, phase_op, to_row, x_op, z_op
 from qstab.randgen import (
     random_code,
     random_part_gates,
@@ -58,16 +58,16 @@ def _report(num: int, description: str, ok: bool) -> None:
 
 
 def _eq100_states(d):
-    s1 = StabilizerGroup(d, 3, (
+    s1 = StabilizerGroup(d, 3, tuple(map(to_row, (
         from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
         from_exponents(d, (1, 0, 1), (0, 0, 0)),
         from_exponents(d, (0, 1, 0), (0, 0, 0)),
-    ))
-    s2 = StabilizerGroup(d, 3, (
+    ))))
+    s2 = StabilizerGroup(d, 3, tuple(map(to_row, (
         from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
         from_exponents(d, (1, 0, 1), (0, d - 1, 0)),
         from_exponents(d, (0, 1, 0), (d - 1, 0, 0)),
-    ))
+    ))))
     return s1, s2
 
 
@@ -154,14 +154,15 @@ def test_04_exactness_of_unitaries(random_case_results):
             for (p, sub_nf), (p2, sub_state) in zip(nf.factors,
                                                     decompose_state(state)):
                 conj = StabilizerGroup(
-                    p, n, tuple(conjugate(_all_gates(sub_nf), g)
-                                for g in sub_state.gens))
+                    p, n, tuple(map(to_row, (
+                        conjugate(_all_gates(sub_nf), from_row(p, g))
+                        for g in sub_state.gens))))
                 ok = ok and p == p2 and canonical_form(conj) == \
                     canonical_form(normal_form_group(sub_nf))
         else:
             conj = StabilizerGroup(
-                d, n, tuple(conjugate(_all_gates(nf), g)
-                            for g in state.gens))
+                d, n, tuple(map(to_row, (conjugate(_all_gates(nf), from_row(d, g))
+                                         for g in state.gens))))
             ok = ok and canonical_form(conj) == \
                 canonical_form(normal_form_group(nf))
     _report(4, "200 random states: conjugating by the returned gate lists "
@@ -195,11 +196,11 @@ def test_06_channel_golden_values():
             graph = GraphAdjacency(n, tuple(tuple(0 for _ in range(n))
                                             for _ in range(n)))
             coding = tuple(z_op(d, n, i) for i in range(k))
-            ident = CodeSpec(n, k, d, graph, coding)
+            ident = CodeSpec(n, k, d, graph, tuple(map(to_row, coding)))
             an = analyze_channel(ident, list(range(n)), [])
             ok = ok and (an.q_b, an.c_b, an.q_c, an.c_c) == (k, k, 0, 0)
         ghz = CodeSpec(2, 1, d, GraphAdjacency.from_edges(2, [(0, 1, 1)]),
-                       (z_op(d, 2, 0),))
+                       tuple(map(to_row, (z_op(d, 2, 0),))))
         an = analyze_channel(ghz, [0], [1])
         ok = ok and (an.q_b, an.c_b, an.q_c, an.c_c) == (0, 1, 0, 1)
     _report(6, "identity code gives (k, k, 0, 0) and the GHZ code gives "
@@ -229,8 +230,7 @@ def test_07_duality_and_brute_force():
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
                     mapped = to_original_input_basis(an, info)
-                    rows = [list(g.x) + list(g.z) for g in mapped
-                            if any(g.x) or any(g.z)]
+                    rows = [list(g[1:]) for g in mapped if any(g[1:])]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []
                     rhs = linalg.rref(rows, d)[0] if rows else []
                     ok = ok and lhs == rhs
@@ -243,12 +243,14 @@ def test_07_duality_and_brute_force():
 def test_08_worked_example_groups():
     d = 3
     graph = GraphAdjacency.from_edges(4, [(2, 3, 1)])
-    code = CodeSpec(4, 3, d, graph,
-                    (z_op(d, 4, 0), z_op(d, 4, 1), z_op(d, 4, 2)))
+    code = CodeSpec(4, 3, d, graph, tuple(map(to_row, (
+        z_op(d, 4, 0), z_op(d, 4, 1), z_op(d, 4, 2)))))
     an = analyze_channel(code, [0, 2], [1, 3])
     exp_b = (phase_op(d, 3, 1), x_op(d, 3, 0), z_op(d, 3, 0), z_op(d, 3, 2))
     exp_c = (phase_op(d, 3, 1), x_op(d, 3, 1), z_op(d, 3, 1), z_op(d, 3, 2))
-    ok = an.info_b == exp_b and an.info_c == exp_c and verify_duality(an)
+    ok = (tuple(from_row(d, g) for g in an.info_b) == exp_b
+          and tuple(from_row(d, g) for g in an.info_c) == exp_c
+          and verify_duality(an))
     _report(8, "composite isometry example: G_B = <lI, X_A1, Z_A1, Z_A3> and "
                "G_C = <lI, X_A2, Z_A2, Z_A3> exactly", ok)
 
@@ -257,9 +259,9 @@ def test_09_pentagon_bounds():
     pent = GraphAdjacency.from_edges(
         5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
     v0 = CodeSpec(5, 1, 2, pent,
-                  (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
+                  tuple(map(to_row, (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))))
     v1 = CodeSpec(5, 1, 2, pent,
-                  (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))
+                  tuple(map(to_row, (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))))
     b0 = analyze_channel(v0, [0, 1], [2, 3, 4])
     b1 = analyze_channel(v1, [0, 1], [2, 3, 4])
     ok = (b0.bits(b0.q_c) >= 1.0

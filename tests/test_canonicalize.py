@@ -28,7 +28,7 @@ from qstab.errors import (
     ShapeMismatch,
 )
 from qstab.formats import parse_normal_form, render_normal_form
-from qstab.pauli import from_exponents, x_op
+from qstab.pauli import from_exponents, from_row, to_row, x_op
 from qstab.randgen import (
     random_part_gates,
     random_partition,
@@ -56,11 +56,11 @@ def all_gates(nf):
 
 
 def eq100_s1(d):
-    return StabilizerGroup(d, 3, (
+    return StabilizerGroup(d, 3, tuple(map(to_row, (
         from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
         from_exponents(d, (1, 0, 1), (0, 0, 0)),
         from_exponents(d, (0, 1, 0), (0, 0, 0)),
-    ))
+    ))))
 
 
 def eq100_s2(d):
@@ -70,11 +70,11 @@ def eq100_s2(d):
 
 def test_eq100_s2_generators_match_printed_form():
     for d in (2, 3, 5):
-        want = StabilizerGroup(d, 3, (
+        want = StabilizerGroup(d, 3, tuple(map(to_row, (
             from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
             from_exponents(d, (1, 0, 1), (0, d - 1, 0)),
             from_exponents(d, (0, 1, 0), (d - 1, 0, 0)),
-        ))
+        ))))
         assert groups_equal(eq100_s2(d), want)
 
 
@@ -153,7 +153,7 @@ def test_partition_validation():
 
 
 def test_not_a_state():
-    partial = StabilizerGroup(3, 2, (x_op(3, 2, 0),))
+    partial = StabilizerGroup(3, 2, tuple(map(to_row, (x_op(3, 2, 0),))))
     with pytest.raises(NotAState):
         bipartition_normal_form(partial, [0], [1])
 
@@ -167,9 +167,9 @@ def test_extract_unentangled_prefactored():
         sub = subgroup_on_part(remainder, [1, 2])
         assert groups_equal(
             StabilizerGroup(d, 3, sub.gens),
-            StabilizerGroup(d, 3, tuple(
+            StabilizerGroup(d, 3, tuple(map(to_row, (
                 from_exponents(d, (0,) + g.x, (0,) + g.z)
-                for g in epr_group(d).gens)))
+                for g in (from_row(d, r) for r in epr_group(d).gens))))))
 
 
 def test_extract_unentangled_hidden():
@@ -257,7 +257,7 @@ def test_figure_style_round_trip():
 
     gens.extend(ghz_generators(d, 6, 0, 2, 4))      # GHZ across all parts
     gens.extend(epr_pair_generators(d, 6, 1, 3))    # EPR between A and B
-    gens.append(x_op(d, 6, 5))                      # single in C
+    gens.append(to_row(x_op(d, 6, 5)))              # single in C
     s = StabilizerGroup(d, 6, tuple(gens))
     rng = random.Random(99)
     gates = (random_part_gates(d, a, rng, 8) + random_part_gates(d, b, rng, 8)
@@ -340,8 +340,8 @@ def test_exactness_explicitly():
             a, b, c = random_partition(5, 3, seed + 3)
             nf = tripartition_normal_form(s, a, b, c)
             conj = StabilizerGroup(
-                d, 5, tuple(conjugate(all_gates(nf), g)
-                            for g in s.gens))
+                d, 5, tuple(map(to_row, (conjugate(all_gates(nf), from_row(d, g))
+                                         for g in s.gens))))
             assert canonical_form(conj) == canonical_form(normal_form_group(nf))
 
 
@@ -372,6 +372,20 @@ def test_composite_counts_are_min_of_factors():
         assert [p for p, _ in nf.factors] == [2, 3]
         for key, val in nf.counts.items():
             assert val == min(sub.counts[key] for _, sub in nf.factors)
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_counts_are_tallied_once_and_read_only(d):
+    # one read-only tally per form, at prime and composite D; reading it
+    # changes neither equality nor the fields
+    s = random_state(d, 4, 7)
+    nf = tripartition_normal_form(s, [0], [1, 2], [3])
+    fresh = dataclasses.replace(nf)
+    assert nf.counts is nf.counts
+    with pytest.raises(TypeError):
+        nf.counts["m_A"] = 1
+    assert nf == fresh and nf.counts == fresh.counts
+    assert all(sub.counts is sub.counts for _, sub in nf.forms)
 
 
 def test_tableaux_supported_on_their_parts():
@@ -571,14 +585,13 @@ def test_extraction_starts_from_validation_echelon(monkeypatch):
     # one on a part with local elements holds its qudits on every step
     import qstab.canonicalize as canonicalize
     from qstab import linalg
-    from qstab.pauli import to_row
     from qstab.stabilizer import reduce_generators
 
     n = 24
     s = random_state(3, n, 5)
     parts = tuple(tuple(range(i, n, 3)) for i in range(3))
     assert all(not subgroup_on_part(s, part).gens for part in parts)
-    expected = [to_row(g) for g in reduce_generators(3, list(s.gens), n)]
+    expected = reduce_generators(3, list(s.gens), n)
     real_echelon = linalg.echelon
     echelons, holds = [], []
     real_hold = canonicalize._Extraction.hold

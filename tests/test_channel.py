@@ -20,7 +20,7 @@ from qstab.channel import (
 )
 from qstab.clifford import conjugate, inverse_gates
 from qstab.errors import InvalidCode, NonPrimeD, NotMaximallyMixedInput, ShapeMismatch
-from qstab.pauli import from_exponents, phase_op, x_op, z_op
+from qstab.pauli import from_exponents, from_row, phase_op, to_row, x_op, z_op
 from qstab.randgen import random_code, random_partition
 from qstab.stabilizer import (
     GraphAdjacency,
@@ -34,12 +34,13 @@ PENTAGON = GraphAdjacency.from_edges(
 
 
 def identity_like_code(d):
-    return CodeSpec(1, 1, d, GraphAdjacency(1, ((0,),)), (z_op(d, 1, 0),))
+    return CodeSpec(1, 1, d, GraphAdjacency(1, ((0,),)),
+                    tuple(map(to_row, (z_op(d, 1, 0),))))
 
 
 def ghz_code(d):
     return CodeSpec(2, 1, d, GraphAdjacency.from_edges(2, [(0, 1, 1)]),
-                    (z_op(d, 2, 0),))
+                    tuple(map(to_row, (z_op(d, 2, 0),))))
 
 
 def make_code(d, n, k, seed):
@@ -52,10 +53,10 @@ def test_code_validation():
         identity_like_code(6)
     with pytest.raises(InvalidCode):
         CodeSpec(2, 1, 3, GraphAdjacency(2, ((0, 0), (0, 0))),
-                 (x_op(3, 2, 0),))
+                 tuple(map(to_row, (x_op(3, 2, 0),))))
     with pytest.raises(InvalidCode):
         CodeSpec(2, 2, 3, GraphAdjacency(2, ((0, 0), (0, 0))),
-                 (z_op(3, 2, 0), z_op(3, 2, 0, 2)))
+                 tuple(map(to_row, (z_op(3, 2, 0), z_op(3, 2, 0, 2)))))
 
 
 def test_choi_of_trivial_code_is_graph_state():
@@ -90,7 +91,7 @@ def test_choi_builds_one_group_and_no_subgroup(monkeypatch):
 
 def test_choi_input_marginal_dense():
     code = CodeSpec(5, 1, 2, PENTAGON,
-                    (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
+                    tuple(map(to_row, (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))))
     choi = code_to_choi_state(code)
     v = oracle.state_from_group(choi)
     rho = oracle.reduced_density(v, [0], 2, 6)
@@ -104,9 +105,10 @@ def test_analyze_identity_code():
         assert an.bits(an.q_b) == pytest.approx(np.log2(d))
         # full Pauli group on the transmitting input
         assert pauli_groups_equal(
-            an.info_b, (phase_op(d, 1, 1), x_op(d, 1, 0), z_op(d, 1, 0)),
-            d, 1)
-        assert pauli_groups_equal(an.info_c, (phase_op(d, 1, 1),), d, 1)
+            an.info_b, tuple(map(to_row, (phase_op(d, 1, 1), x_op(d, 1, 0),
+                                          z_op(d, 1, 0)))), d, 1)
+        assert pauli_groups_equal(
+            an.info_c, tuple(map(to_row, (phase_op(d, 1, 1),))), d, 1)
         assert verify_duality(an)
 
 
@@ -124,7 +126,7 @@ def test_analyze_ghz_code():
         an = analyze_channel(ghz_code(d), [0], [1])
         assert an.normal_form.m_abc == 1
         assert (an.q_b, an.c_b, an.q_c, an.c_c) == (0, 1, 0, 1)
-        want = (phase_op(d, 1, 1), z_op(d, 1, 0))
+        want = tuple(map(to_row, (phase_op(d, 1, 1), z_op(d, 1, 0))))
         assert pauli_groups_equal(an.info_b, want, d, 1)
         assert pauli_groups_equal(an.info_c, want, d, 1)
         assert verify_duality(an)
@@ -135,38 +137,39 @@ def test_attached_outputs_leave_direct_channel_unchanged():
     # B-local unentangled output: neither touches the info groups
     for d in (2, 3):
         graph = GraphAdjacency.from_edges(4, [(1, 2, 1)])
-        code = CodeSpec(4, 1, d, graph, (z_op(d, 4, 0),))
+        code = CodeSpec(4, 1, d, graph, tuple(map(to_row, (z_op(d, 4, 0),))))
         an = analyze_channel(code, [0, 1, 3], [2])
         assert (an.q_b, an.c_b) == (1, 1)
         assert (an.normal_form.m_bc, an.normal_form.m_b) == (1, 1)
         assert pauli_groups_equal(
-            an.info_b, (phase_op(d, 1, 1), x_op(d, 1, 0), z_op(d, 1, 0)),
-            d, 1)
-        assert pauli_groups_equal(an.info_c, (phase_op(d, 1, 1),), d, 1)
+            an.info_b, tuple(map(to_row, (phase_op(d, 1, 1), x_op(d, 1, 0),
+                                          z_op(d, 1, 0)))), d, 1)
+        assert pauli_groups_equal(
+            an.info_c, tuple(map(to_row, (phase_op(d, 1, 1),))), d, 1)
 
 
 def test_eq360_worked_example():
     for d in (2, 3, 5):
         graph = GraphAdjacency.from_edges(4, [(2, 3, 1)])
-        code = CodeSpec(4, 3, d, graph,
-                        (z_op(d, 4, 0), z_op(d, 4, 1), z_op(d, 4, 2)))
+        code = CodeSpec(4, 3, d, graph, tuple(map(to_row, (
+            z_op(d, 4, 0), z_op(d, 4, 1), z_op(d, 4, 2)))))
         an = analyze_channel(code, [0, 2], [1, 3])
         exp_b = (phase_op(d, 3, 1), x_op(d, 3, 0), z_op(d, 3, 0),
                  z_op(d, 3, 2))
         exp_c = (phase_op(d, 3, 1), x_op(d, 3, 1), z_op(d, 3, 1),
                  z_op(d, 3, 2))
-        assert an.info_b == exp_b
-        assert an.info_c == exp_c
+        assert tuple(from_row(d, g) for g in an.info_b) == exp_b
+        assert tuple(from_row(d, g) for g in an.info_c) == exp_c
         assert verify_duality(an)
 
 
 def test_pentagon_subcode_bounds():
     v0 = CodeSpec(5, 1, 2, PENTAGON,
-                  (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
+                  tuple(map(to_row, (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))))
     b0 = analyze_channel(v0, [0, 1], [2, 3, 4])
     assert b0.q_c >= 1
     v1 = CodeSpec(5, 1, 2, PENTAGON,
-                  (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))
+                  tuple(map(to_row, (from_exponents(2, [0] * 5, [0, 1, 1, 0, 1]),))))
     b1 = analyze_channel(v1, [0, 1], [2, 3, 4])
     assert b1.c_b >= 1 and b1.c_c >= 1
 
@@ -186,8 +189,8 @@ def test_graph_choi_round_trip():
     assert code.n == 2 and code.k == 2
     assert input_gates == []
     # coding generators are the input rows of the cross block
-    assert list(code.coding_gens[0].z) == [1, 2]
-    assert list(code.coding_gens[1].z) == [2, 0]
+    assert list(from_row(d, code.coding_gens[0]).z) == [1, 2]
+    assert list(from_row(d, code.coding_gens[1]).z) == [2, 0]
     # the code's Choi state equals the original graph state
     choi = code_to_choi_state(code)
     assert groups_equal(choi, from_graph(adj, d))
@@ -199,8 +202,8 @@ def test_graph_choi_records_input_gates():
     code, input_gates = graph_choi_to_code(adj, 2, d)
     assert [g.name for g in input_gates] == ["CP"]
     assert input_gates[0].qudits == (0, 1)
-    assert list(code.coding_gens[0].z) == [1, 0]
-    assert list(code.coding_gens[1].z) == [0, 1]
+    assert list(from_row(d, code.coding_gens[0]).z) == [1, 0]
+    assert list(from_row(d, code.coding_gens[1]).z) == [0, 1]
 
 
 def test_graph_choi_single_edge_is_identity_like():
@@ -231,18 +234,19 @@ def test_ghz_as_graph_choi():
 
 def test_centralizer_extremes():
     d, k = 3, 2
-    full = (phase_op(d, k, 1), x_op(d, k, 0), z_op(d, k, 0),
-            x_op(d, k, 1), z_op(d, k, 1))
+    full = tuple(map(to_row, (phase_op(d, k, 1), x_op(d, k, 0), z_op(d, k, 0),
+                              x_op(d, k, 1), z_op(d, k, 1))))
+    phase = tuple(map(to_row, (phase_op(d, k, 1),)))
     cent = centralizer_in_pauli(full, d, k)
-    assert pauli_groups_equal(cent, (phase_op(d, k, 1),), d, k)
-    cent2 = centralizer_in_pauli((phase_op(d, k, 1),), d, k)
+    assert pauli_groups_equal(cent, phase, d, k)
+    cent2 = centralizer_in_pauli(phase, d, k)
     assert pauli_groups_equal(cent2, full, d, k)
 
 
 def test_centralizer_of_single_z_brute_force():
     for d in (2, 3):
         for k in (1, 2):
-            gens = (phase_op(d, k, 1), z_op(d, k, 0))
+            gens = tuple(map(to_row, (phase_op(d, k, 1), z_op(d, k, 0))))
             cent = centralizer_in_pauli(gens, d, k)
             brute = []
             from qstab.pauli import commutation_phase
@@ -252,7 +256,7 @@ def test_centralizer_of_single_z_brute_force():
                     p = from_exponents(d, xs, zs)
                     if commutation_phase(p, z_op(d, k, 0)) == 0:
                         brute.append(p)
-            assert pauli_groups_equal(cent, tuple(brute), d, k)
+            assert pauli_groups_equal(cent, tuple(map(to_row, brute)), d, k)
 
 
 def test_random_codes_duality_and_brute_force():
@@ -275,8 +279,7 @@ def test_random_codes_duality_and_brute_force():
                     brute_rows = [list(x) + list(z) for x, z in brute
                                   if any(x) or any(z)]
                     mapped = to_original_input_basis(an, info)
-                    rows = [list(g.x) + list(g.z) for g in mapped
-                            if any(g.x) or any(g.z)]
+                    rows = [list(g[1:]) for g in mapped if any(g[1:])]
                     lhs = linalg.rref(brute_rows, d)[0] if brute_rows else []
                     rhs = linalg.rref(rows, d)[0] if rows else []
                     assert lhs == rhs
@@ -291,7 +294,7 @@ def test_info_group_isomorphism_property():
         b, c = random_partition(n, 2, seed)
         an = analyze_channel(code, b, c)
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
-        mapped = to_original_input_basis(an, an.info_b)
+        mapped = [from_row(d, g) for g in to_original_input_basis(an, an.info_b)]
         outs = [oracle.apply_channel(v_iso, b, d, n, oracle.pauli_matrix(p))
                 for p in mapped]
         constants = []
@@ -318,7 +321,7 @@ def test_capacities_additive_under_tensor():
     c2 = ghz_code(d)
     # tensor: inputs 0,1; outputs: 0 (from c1), 1,2 (from c2)
     graph = GraphAdjacency.from_edges(3, [(1, 2, 1)])
-    coding = (z_op(d, 3, 0), z_op(d, 3, 1))
+    coding = tuple(map(to_row, (z_op(d, 3, 0), z_op(d, 3, 1))))
     both = CodeSpec(3, 2, d, graph, coding)
     a1 = analyze_channel(c1, [0], [])
     a2 = analyze_channel(c2, [0], [1])
@@ -336,8 +339,9 @@ def test_transpose_is_dense_transpose():
             p = from_exponents(d, [rng.randrange(d) for _ in range(2)],
                                [rng.randrange(d) for _ in range(2)],
                                rng.randrange(2 * d))
-            assert oracle.matrices_equal(oracle.pauli_matrix(p).T,
-                                         oracle.pauli_matrix(transpose_pauli(p)))
+            assert oracle.matrices_equal(
+                oracle.pauli_matrix(p).T,
+                oracle.pauli_matrix(from_row(d, transpose_pauli(to_row(p), d))))
 
 
 def test_analyze_rejects_bad_bipartition():
@@ -365,18 +369,19 @@ def test_to_original_input_basis_maps_a_sequence(monkeypatch):
         code = make_code(d, n, k, seed)
         b, c = random_partition(n, 2, seed)
         an = analyze_channel(code, b, c)
-        extra = tuple(from_exponents(d, [rng.randrange(d) for _ in range(k)],
-                                     [rng.randrange(d) for _ in range(k)],
-                                     rng.randrange(2 * d)) for _ in range(3))
+        extra = tuple(map(to_row, (
+            from_exponents(d, [rng.randrange(d) for _ in range(k)],
+                           [rng.randrange(d) for _ in range(k)],
+                           rng.randrange(2 * d)) for _ in range(3))))
         inv = inverse_gates(an.normal_form.circuits[0], d)
-        for paulis in (an.info_b, an.info_c, extra, ()):
+        for rows in (an.info_b, an.info_c, extra, ()):
             calls.clear()
-            want = tuple(transpose_pauli(conjugate(inv, transpose_pauli(p)))
-                         for p in paulis)
-            assert to_original_input_basis(an, paulis) == want
+            want = tuple(transpose_pauli(to_row(conjugate(
+                inv, from_row(d, transpose_pauli(r, d)))), d) for r in rows)
+            assert to_original_input_basis(an, rows) == want
             assert len(calls) == 1
         with pytest.raises(ShapeMismatch):
-            to_original_input_basis(an, extra + (x_op(d, k + 1, 0),))
+            to_original_input_basis(an, extra + (to_row(x_op(d, k + 1, 0)),))
 
 
 def test_channel_check_builds_one_inverse_circuit(monkeypatch):

@@ -118,13 +118,13 @@ def test_crt_decompose_verifies_the_factors_it_writes(tmp_path, capsys,
 def test_channel_verb_and_oracle_verify(tmp_path, capsys):
     from qstab import formats
     from qstab.channel import CodeSpec
-    from qstab.pauli import from_exponents
+    from qstab.pauli import from_exponents, to_row
     from qstab.stabilizer import GraphAdjacency
 
     pent = GraphAdjacency.from_edges(
         5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
     v0 = CodeSpec(5, 1, 2, pent,
-                  (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))
+                  tuple(map(to_row, (from_exponents(2, [0] * 5, [1, 1, 0, 1, 0]),))))
     code_file = tmp_path / "v0.code"
     code_file.write_text(formats.render_code(v0))
     report = tmp_path / "v0.chan"
@@ -584,3 +584,36 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("QSTAB1 code")
+
+
+@pytest.mark.parametrize("kind, body, message", [
+    ("stabilizer", "D 3 n 2 gens 2\n0 | 1 0 | 0 0\n0 | 0 0 | 1 0",
+     "InvalidStabilizer: generators 0 | 1 0 | 0 0 and 0 | 0 0 | 1 0"
+     " do not commute"),
+    ("stabilizer", "D 2 n 2 gens 1\n1 | 0 1 | 0 0",
+     "InvalidStabilizer: generator 1 | 0 1 | 0 0 has g^order(g) != I"),
+    ("stabilizer", "D 3 n 2 gens 2\n0 | 1 0 | 0 0\n0 | 2 0 | 0 0",
+     "InvalidStabilizer: generators dependent mod 3"),
+    ("stabilizer", "D 6 n 2 gens 2\n0 | 2 0 | 0 0\n0 | 4 0 | 0 0",
+     "InvalidStabilizer: generators dependent mod 3"),
+    ("stabilizer", "D 3 n 2 gens 1\n0 | 1 0 0 | 0 0 0",
+     "FormatError: generator on 3 qudits in an n=2 file"),
+    ("code", "D 3 n 2 k 1\n1 2 1\nCODING\n0 | 1 0 | 0 1",
+     "InvalidCode: coding generators must be plain Z products"),
+    ("code", "D 3 n 2 k 1\n1 2 1\nCODING\n1 | 0 0 | 0 1",
+     "InvalidCode: coding generators must be plain Z products"),
+    ("code", "D 3 n 2 k 1\n1 2 1\nCODING\n0 | 0 0 0 | 0 1 1",
+     "FormatError: coding generator width differs from n=2"),
+], ids=["commute", "order", "dependent-d3", "dependent-d6", "state-width",
+        "code-x", "code-phase", "code-width"])
+def test_validation_errors_read_their_generators(tmp_path, capsys, kind,
+                                                  body, message):
+    # validation names the generators by their text, as the file gives them
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(f"QSTAB1 {kind}\n{body}\n")
+    if kind == "stabilizer":
+        args = ["canonicalize", "--state", str(path), "--parts", "1/2"]
+    else:
+        args = ["channel", "--code", str(path), "--B", "1", "--C", "2"]
+    rc, out, err = run_cli(args, capsys)
+    assert (rc, out, err) == (1, "", message + "\n")

@@ -17,9 +17,11 @@ from qstab.modring import crt_combine, factorize, make_split
 from qstab.pauli import (
     commutation_phase,
     from_exponents,
+    from_row,
     identity,
     order,
     power,
+    to_row,
     x_op,
     z_op,
 )
@@ -185,12 +187,12 @@ def test_decompose_thirty():
     factors = decompose_group(s)
     assert [p for p, _ in factors] == [2, 3, 5]
     total = 1
-    for _, fac in factors:
+    for p, fac in factors:
         total *= fac.size
         # commuting and valid by construction; double-check pairwise
         for a in fac.gens:
             for b in fac.gens:
-                assert commutation_phase(a, b) == 0
+                assert commutation_phase(from_row(p, a), from_row(p, b)) == 0
     assert total == s.size
 
 
@@ -209,6 +211,6 @@ def test_decompose_state_dense_fidelity():
 
 
 def test_decompose_state_requires_state():
-    partial = StabilizerGroup(6, 2, (x_op(6, 2, 0),))
+    partial = StabilizerGroup(6, 2, tuple(map(to_row, (x_op(6, 2, 0),))))
     with pytest.raises(NotAState):
         decompose_state(partial)

@@ -11,7 +11,7 @@ from qstab.channel import CodeSpec, analyze_channel
 from qstab.clifford import (GATE_SHAPES, Gate, cnot, cphase, fourier, pauli_x,
                             pauli_z, phase_w, smult)
 from qstab.errors import FormatError, QstabError
-from qstab.pauli import z_op
+from qstab.pauli import to_row, z_op
 from qstab.randgen import random_code, random_state
 from qstab.stabilizer import GraphAdjacency, ghz_group
 
@@ -89,7 +89,7 @@ def test_channel_report_round_trip():
 
 def test_channel_report_bounds_phrasing():
     code = CodeSpec(2, 1, 2, GraphAdjacency.from_edges(2, [(0, 1, 1)]),
-                    (z_op(2, 2, 0),))
+                    tuple(map(to_row, (z_op(2, 2, 0),))))
     analysis = analyze_channel(code, [0], [1])
     text = formats.render_channel_report(
         formats.report_from_analysis(analysis, bounds=True))

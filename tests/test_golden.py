@@ -122,6 +122,54 @@ def test_channel_golden(name, tmp_path):
     assert files == _expected(files)
 
 
+def _ok(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue().encode()
+
+
+def test_verbs_build_no_pauli_product(tmp_path, monkeypatch):
+    # every verb works on [gamma, x, z] rows from parse to render: with the
+    # PauliProduct constructor disabled, each still exits 0 and writes the
+    # bytes of every golden its output has
+    from qstab.pauli import PauliProduct
+
+    def forbidden(self):
+        raise AssertionError("a CLI path built a PauliProduct")
+
+    monkeypatch.setattr(PauliProduct, "__post_init__", forbidden)
+    files = {}
+    for name in ("d3_ghz", "d6_tri"):  # prime and composite D
+        state, parts = NF_CASES[name]
+        report = tmp_path / f"{name}.nf"
+        _ok(["canonicalize", "--state", str(GOLDEN / state), f"--parts={parts}",
+             "--verify", "--emit-gates", str(tmp_path / name),
+             "--out", str(report)])
+        files[f"{name}.verify"] = _ok(["oracle-verify", "--report", str(report),
+                                       "--state", str(GOLDEN / state)])
+    _ok(["crt-decompose", "--state", str(GOLDEN / CRT_CASES["d30_crt"]),
+         "--out-prefix", str(tmp_path / "d30_crt"), "--verify"])
+    code = str(GOLDEN / "pentagon.code")
+    for name, flags in CHANNEL_CASES.items():
+        report = tmp_path / f"{name}.chan"
+        _ok(["channel", "--code", code, "--B", "1,2", "--C", "3,4,5",
+             "--verify", "--emit-choi", str(tmp_path / f"{name}.choi"),
+             "--out", str(report)] + flags)
+        files[f"{name}.verify"] = _ok(["oracle-verify", "--report", str(report),
+                                       "--code", code])
+    # the stored states at D = 3 and D = 30 are `random-state --seed 1`
+    for d, n in ((3, 24), (30, 12)):
+        _ok(["random-state", "--D", str(d), "--n", str(n), "--seed", "1",
+             "--out", str(tmp_path / f"d{d}_n{n}.stab")])
+    _ok(["random-code", "--D", "2", "--n", "5", "--k", "2", "--seed", "1",
+         "--out", str(tmp_path / "random.code")])
+    files.update((p.name, p.read_bytes()) for p in tmp_path.iterdir()
+                 if (GOLDEN / p.name).exists())
+    assert len(files) == 22  # 4 reports, 9 gate files, 4 verdicts, 5 states
+    assert files == _expected(files)
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import tempfile
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from qstab import linalg
 from qstab.modring import factorize, inv_mod
-from qstab.pauli import (multiply, order, power, row_multiply, row_power,
-                         to_row)
+from qstab.pauli import (from_row, multiply, order, power, row_multiply,
+                         row_power, to_row)
 from qstab.randgen import random_state
 from qstab.stabilizer import elements
 
@@ -127,18 +127,19 @@ def test_echelon_rows_are_exact_group_elements(d, n, seed, rng):
     identity, phase included, under any column order."""
     n = max(1, min(n, int(math.log(400, d))))
     group = random_state(d, n, seed)
-    members = {tuple(to_row(el)) for el in elements(group)}
+    members = set(elements(group))
+    gens = [from_row(d, g) for g in group.gens]
     extra = []
     for _ in range(3):
-        el = group.gens[0]
-        for g in group.gens[1:]:
+        el = gens[0]
+        for g in gens[1:]:
             el = multiply(el, power(g, rng.randrange(d)))
         extra.append(el)
     columns = list(range(1, 2 * n + 1))
     rng.shuffle(columns)
     for p in factorize(d).primes:
         sylow = []
-        for g in list(group.gens) + extra:
+        for g in gens + extra:
             if order(g) % p == 0:
                 m = order(g) // p
                 sylow.append(to_row(power(g, m * inv_mod(m % p, p))))

@@ -12,7 +12,7 @@ from qstab import oracle, pauli, stabilizer
 from qstab.channel import CodeSpec
 from qstab.clifford import cnot, cphase, fourier, smult
 from qstab.errors import NotAState, TooLarge
-from qstab.pauli import PauliProduct, from_exponents, x_op, z_op
+from qstab.pauli import PauliProduct, from_exponents, from_row, to_row, x_op, z_op
 from qstab.randgen import random_code, random_part_gates, random_state
 from qstab.stabilizer import (
     GraphAdjacency,
@@ -63,7 +63,8 @@ def test_state_ghz_qubits():
 
 def test_state_requires_full_group():
     with pytest.raises(NotAState):
-        oracle.state_from_group(StabilizerGroup(3, 2, (x_op(3, 2, 0),)))
+        oracle.state_from_group(
+            StabilizerGroup(3, 2, tuple(map(to_row, (x_op(3, 2, 0),)))))
 
 
 def test_too_large():
@@ -93,7 +94,8 @@ def test_state_matches_literal_projector_sum():
             if d**n > 130:
                 continue
             s = random_state(d, n, 5 * d + n)
-            proj = sum(oracle.pauli_matrix(el) for el in elements(s)) / d**n
+            proj = sum(oracle.pauli_matrix(from_row(d, el))
+                       for el in elements(s)) / d**n
             assert oracle.matrices_equal(proj @ proj, proj, tol=1e-9)
             evals, evecs = np.linalg.eigh(proj)
             assert np.sum(evals > 1e-9) == 1
@@ -152,7 +154,8 @@ def test_apply_channel_identity_code():
     from qstab.channel import CodeSpec
 
     for d in (2, 3):
-        code = CodeSpec(1, 1, d, GraphAdjacency(1, ((0,),)), (z_op(d, 1, 0),))
+        code = CodeSpec(1, 1, d, GraphAdjacency(1, ((0,),)),
+                        tuple(map(to_row, (z_op(d, 1, 0),))))
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
         rng = np.random.default_rng(1)
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -170,7 +173,7 @@ def test_apply_channel_ghz_code_dephases():
 
     for d in (2, 3):
         code = CodeSpec(2, 1, d, GraphAdjacency.from_edges(2, [(0, 1, 1)]),
-                        (z_op(d, 2, 0),))
+                        tuple(map(to_row, (z_op(d, 2, 0),))))
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
         rng = np.random.default_rng(2)
         outs = []
@@ -192,12 +195,12 @@ def test_pauli_transmitted_counts():
 
     for d in (2, 3):
         perfect = CodeSpec(1, 1, d, GraphAdjacency(1, ((0,),)),
-                           (z_op(d, 1, 0),))
+                           tuple(map(to_row, (z_op(d, 1, 0),))))
         v_iso = oracle.isometry_from_code(perfect.graph_group,
                                           perfect.coding_gens)
         assert len(oracle.brute_force_info_group(v_iso, [0], d, 1, 1)) == d**2
         decoher = CodeSpec(2, 1, d, GraphAdjacency.from_edges(2, [(0, 1, 1)]),
-                           (z_op(d, 2, 0),))
+                           tuple(map(to_row, (z_op(d, 2, 0),))))
         v_iso = oracle.isometry_from_code(decoher.graph_group,
                                           decoher.coding_gens)
         transmitted = oracle.brute_force_info_group(v_iso, [0], d, 2, 1)
@@ -258,7 +261,7 @@ def test_pauli_actions_match_dense_matrices(case, seed):
     # row i of the batched actions applies paulis[i] as its dense matrix
     # does, at n = 0 and for an empty list too
     d, n, paulis = case
-    idx, phase = oracle._pauli_actions(paulis, d, n)
+    idx, phase = oracle._pauli_actions(list(map(to_row, paulis)), d, n)
     assert idx.shape == phase.shape == (len(paulis), d**n)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
@@ -274,7 +277,8 @@ def test_state_build_at_n_zero_and_large_d():
     d = 2**31 - 1
     v = oracle.state_from_group(StabilizerGroup(d, 0, ()))
     assert v.shape == (1,) and abs(abs(v[0]) - 1.0) < 1e-12
-    idx, phase = oracle._pauli_actions([from_exponents(d, [], [], 5)], d, 0)
+    idx, phase = oracle._pauli_actions([to_row(from_exponents(d, [], [], 5))],
+                                       d, 0)
     assert idx.tolist() == [[0]]
     assert np.allclose(phase, np.exp(1j * np.pi * 5 / d))
 
@@ -297,9 +301,10 @@ def test_state_build_properties(group):
     v = oracle.state_from_group(group)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-9
     for g in group.gens:
-        assert oracle.matrices_equal(_apply_by_axes(g, v), v, tol=1e-9)
+        assert oracle.matrices_equal(_apply_by_axes(from_row(d, g), v), v,
+                                     tol=1e-9)
     if d**n <= 256:
-        proj = sum(oracle.pauli_matrix(el)
+        proj = sum(oracle.pauli_matrix(from_row(d, el))
                    for el in stabilizer.elements(group)) / d**n
         evals, evecs = np.linalg.eigh(proj)
         assert abs(evals[-1] - 1.0) < 1e-9
@@ -391,8 +396,8 @@ def test_orbit_sum_by_doubling_matches_literal_sum(d, monkeypatch):
         assert len(calls) <= 2 * math.ceil(math.log2(d)) * len(group.gens)
         if d <= 7:  # the per-axis product builds D x D matrices
             for g in group.gens:
-                assert oracle.matrices_equal(_apply_by_axes(g, state), state,
-                                             tol=1e-9)
+                assert oracle.matrices_equal(
+                    _apply_by_axes(from_row(d, g), state), state, tol=1e-9)
 
 
 @st.composite

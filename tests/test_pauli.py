@@ -11,6 +11,7 @@ from qstab.errors import ShapeMismatch
 from qstab.pauli import (
     commutation_phase,
     from_exponents,
+    from_row,
     from_text,
     identity,
     inverse,
@@ -20,6 +21,7 @@ from qstab.pauli import (
     power,
     proportional,
     tensor,
+    to_row,
     to_text,
     x_op,
     z_op,
@@ -208,4 +210,4 @@ def test_text_round_trip():
     for d in (2, 6):
         for _ in range(20):
             p = random_pauli(rng, d, rng.randrange(0, 4))
-            assert from_text(to_text(p), d) == p
+            assert from_row(d, from_text(to_text(to_row(p)), d)) == p

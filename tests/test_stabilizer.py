@@ -17,6 +17,7 @@ from qstab.modring import factorize
 from qstab.pauli import (
     PauliProduct,
     from_exponents,
+    from_row,
     multiply,
     power,
     to_row,
@@ -43,24 +44,24 @@ from group_helpers import is_identity_on, member, restrict, tensor_groups
 
 
 def eq100_s1(d):
-    return StabilizerGroup(d, 3, (
+    return StabilizerGroup(d, 3, tuple(map(to_row, (
         from_exponents(d, (0, 0, 0), (1, 0, d - 1)),
         from_exponents(d, (1, 0, 1), (0, 0, 0)),
         from_exponents(d, (0, 1, 0), (0, 0, 0)),
-    ))
+    ))))
 
 
 def test_from_graph_single_vertex():
     g = from_graph(GraphAdjacency(1, ((0,),)), 3)
-    assert g.gens == (x_op(3, 1, 0),)
+    assert g.gens == (tuple(to_row(x_op(3, 1, 0))),)
 
 
 def test_from_graph_one_edge_qubits():
     g = from_graph(GraphAdjacency.from_edges(2, [(0, 1, 1)]), 2)
-    assert groups_equal(g, StabilizerGroup(2, 2, (
+    assert groups_equal(g, StabilizerGroup(2, 2, tuple(map(to_row, (
         from_exponents(2, (1, 0), (0, 1)),   # X1 Z2^{-1} = X1 Z2 at D=2
         from_exponents(2, (0, 1), (1, 0)),
-    )))
+    )))))
 
 
 def test_pentagon_generators():
@@ -68,7 +69,7 @@ def test_pentagon_generators():
         5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 0, 1)])
     g = from_graph(pent, 2)
     # ring generators X_i Z_{i-1} Z_{i+1}
-    for i, gen in enumerate(g.gens):
+    for i, gen in enumerate(from_row(2, g) for g in g.gens):
         assert gen.x[i] == 1
         assert gen.z[(i - 1) % 5] == 1 and gen.z[(i + 1) % 5] == 1
         assert sum(gen.x) == 1 and sum(gen.z) == 2
@@ -76,23 +77,23 @@ def test_pentagon_generators():
 
 def test_invalid_noncommuting():
     with pytest.raises(InvalidStabilizer):
-        StabilizerGroup(3, 1, (x_op(3, 1, 0), z_op(3, 1, 0)))
+        StabilizerGroup(3, 1, tuple(map(to_row, (x_op(3, 1, 0), z_op(3, 1, 0)))))
 
 
 def test_invalid_phase_power():
     # lambda X at D=2 squares to -I, not I
     with pytest.raises(InvalidStabilizer):
-        StabilizerGroup(2, 1, (from_exponents(2, (1,), (0,), 1),))
+        StabilizerGroup(2, 1, tuple(map(to_row, (from_exponents(2, (1,), (0,), 1),))))
 
 
 def test_invalid_dependent():
     with pytest.raises(InvalidStabilizer):
-        StabilizerGroup(3, 2, (x_op(3, 2, 0), x_op(3, 2, 0, 2)))
+        StabilizerGroup(3, 2, tuple(map(to_row, (x_op(3, 2, 0), x_op(3, 2, 0, 2)))))
 
 
 def test_non_squarefree_rejected():
     with pytest.raises(NotSquarefree):
-        StabilizerGroup(4, 1, (x_op(4, 1, 0),))
+        StabilizerGroup(4, 1, tuple(map(to_row, (x_op(4, 1, 0),))))
 
 
 def test_group_size_composite():
@@ -112,7 +113,7 @@ def test_subgroup_on_part_eq100():
         sub = subgroup_on_part(eq100_s1(d), [0, 1])
         assert groups_equal(
             StabilizerGroup(d, 3, sub.gens),
-            StabilizerGroup(d, 3, (x_op(d, 3, 1),)))
+            StabilizerGroup(d, 3, tuple(map(to_row, (x_op(d, 3, 1),)))))
 
 
 def test_subgroup_on_part_everything():
@@ -131,7 +132,7 @@ def test_subgroup_divides_and_is_local():
             assert s.size % sub.size == 0
             off = [q for q in range(4) if q not in part]
             for g in sub.gens:
-                assert is_identity_on(g, off)
+                assert is_identity_on(from_row(d, g), off)
 
 
 def test_subgroup_composite_vs_brute_force():
@@ -141,7 +142,8 @@ def test_subgroup_composite_vs_brute_force():
             s = random_state(d, 3, seed + d)
             for part in ([0], [1, 2], [0, 2]):
                 off = [q for q in range(3) if q not in part]
-                brute = [el for el in elements(s) if is_identity_on(el, off)]
+                brute = [el for el in elements(s)
+                         if is_identity_on(from_row(d, el), off)]
                 sub = subgroup_on_part(s, part)
                 sub_elements = {str(el) for el in elements(sub)}
                 assert sub_elements == {str(el) for el in brute}
@@ -199,7 +201,8 @@ def test_subgroup_on_part_vs_brute_force(d, n, seed, rng):
     s = random_state(d, n, seed)
     part = [q for q in range(n) if rng.random() < 0.5]
     off = [q for q in range(n) if q not in part]
-    brute = {str(el) for el in elements(s) if is_identity_on(el, off)}
+    brute = {str(el) for el in elements(s)
+             if is_identity_on(from_row(d, el), off)}
     sub = subgroup_on_part(s, part)
     assert {str(el) for el in elements(sub)} == brute
     assert len(brute) == sub.size
@@ -233,7 +236,7 @@ def test_validation_keeps_the_canonical_echelon(d, n, rng):
     for group in (s, StabilizerGroup(d, n, tuple(gens[:rng.randint(0, n)]))):
         if factorize(d).is_prime:
             reduced = reduce_generators(d, list(group.gens), n)
-            assert list(group._canonical_rows) == [to_row(g) for g in reduced]
+            assert list(group._canonical_rows) == reduced
         else:
             assert group._canonical_rows is None
 
@@ -251,9 +254,9 @@ def test_member_rejects_phase_mismatch_composite():
     rng = random.Random(7)
     for d in (6, 10, 15, 30):
         s = random_state(d, 3, d)
-        el = s.gens[0]
+        el = from_row(d, s.gens[0])
         for g in s.gens[1:]:
-            el = multiply(el, power(g, rng.randrange(d)))
+            el = multiply(el, power(from_row(d, g), rng.randrange(d)))
         assert member(s, el)
         for shift in (1, 2, d):
             assert not member(s, PauliProduct(d, el.gamma + shift, el.x, el.z))
@@ -278,8 +281,8 @@ def split_across(group, left):
     if sides[0].size * sides[1].size != group.size:
         return None
     return tuple(
-        StabilizerGroup(group.d, len(side),
-                        tuple(restrict(g, side) for g in sub.gens))
+        StabilizerGroup(group.d, len(side), tuple(map(to_row, (
+            restrict(from_row(group.d, g), side) for g in sub.gens))))
         for side, sub in zip((left, right), sides))
 
 
@@ -292,7 +295,7 @@ def test_tensor_and_try_factor():
         assert groups_equal(left, epr_group(d))
         assert groups_equal(right, plus_state_group(d, 1))
         assert groups_equal(subgroup_on_part(prod, [2]),
-                            StabilizerGroup(d, 3, (x_op(d, 3, 2),)))
+                            StabilizerGroup(d, 3, tuple(map(to_row, (x_op(d, 3, 2),)))))
 
 
 def test_try_factor_ghz_fails():
@@ -329,7 +332,7 @@ def test_epr_ghz_dense_states():
 
 
 def test_not_a_state_rank():
-    partial = StabilizerGroup(3, 2, (x_op(3, 2, 0),))
+    partial = StabilizerGroup(3, 2, tuple(map(to_row, (x_op(3, 2, 0),))))
     with pytest.raises(NotAState):
         reduced_rank(partial, [0])
 
@@ -337,8 +340,8 @@ def test_not_a_state_rank():
 def test_canonical_form_presentation_independent():
     for d in (2, 3, 6):
         s = ghz_group(d)
-        g1, g2, g3 = s.gens
-        other = StabilizerGroup(d, 3, (multiply(g1, g2), g3, g2))
+        g1, g2, g3 = (from_row(d, g) for g in s.gens)
+        other = StabilizerGroup(d, 3, tuple(map(to_row, (multiply(g1, g2), g3, g2))))
         assert canonical_form(other) == canonical_form(s)
         assert groups_equal(other, s)
 
