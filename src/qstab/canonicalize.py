@@ -113,20 +113,21 @@ COUNT_PARTS = {"m_A": (0,), "m_B": (1,), "m_C": (2,), "m_AB": (0, 1),
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Per-part unitaries and the qudit role assignment; the counts derive.
+    """Per-part unitaries and the role table; the counts derive.
 
-    At prime D each count m_X is the number of roles naming the parts X.
-    For composite D, `factors` holds the per-prime normal forms (ground
-    truth) and the form has no roles or circuits; its counts are their
-    componentwise minimum, which `composite_counts_derived` reports.
+    `roles` is the one record of what each qudit became: (part indices,
+    qudits) for every single, EPR pair and GHZ triple, in the order the
+    report lists them (singles, then pairs, then triples). At prime D each
+    count m_X is the number of roles naming the parts X. For composite D,
+    `factors` holds the per-prime normal forms (ground truth) and the form
+    has no roles or circuits; its counts are their componentwise minimum,
+    which `composite_counts_derived` reports.
     """
 
     d: int
     n: int
     parts: tuple[tuple[int, ...], ...]
-    singles: tuple[tuple[int, int], ...] = ()
-    pairs: tuple[tuple[int, int, int, int], ...] = ()
-    triples: tuple[tuple[int, int, int], ...] = ()
+    roles: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
     circuits: tuple[tuple[Gate, ...], ...] = ()
     factors: tuple[tuple[int, "NormalForm"], ...] = ()
     # the input this very object passed the built-in exactness check
@@ -159,14 +160,6 @@ class NormalForm:
     # each count by its tag in lower case, read-only
     m_a, m_b, m_c, m_ab, m_ac, m_bc, m_abc = (
         property(lambda self, tag=tag: self.counts[tag]) for tag in COUNT_PARTS)
-
-    @property
-    def roles(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """(part indices, qudits) of every single, pair and triple, in the
-        order the report lists them."""
-        return (tuple(((pi,), (q,)) for q, pi in self.singles)
-                + tuple(((pi, pj), (qx, qy)) for pi, pj, qx, qy in self.pairs)
-                + tuple(((0, 1, 2), triple) for triple in self.triples))
 
     def crossing_count(self, side) -> int:
         """Normal-form factors crossing the cut with the given part indices
@@ -238,9 +231,9 @@ class _Extraction:
         self.held, self.split = set(range(self.n)), 0
         self.circuits: list[list[Gate]] = [[] for _ in self.parts]
         self.retired: set[int] = set()
-        self.singles: list[tuple[int, int]] = []
-        self.pairs: list[tuple[int, int, int, int]] = []
-        self.triples: list[tuple[int, int, int]] = []
+        # the role table in report order: the single phases run first, then
+        # the EPR phases, then GHZ
+        self.roles: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def active_qudits(self, part_idx: int) -> list[int]:
         return [q for q in self.parts[part_idx] if q not in self.retired]
@@ -362,7 +355,7 @@ def _extract_single_once(ctx: _Extraction, part_idx: int) -> bool:
     (s,) = ctx.strip_phase(part_idx, [s], 0, target, use_x=False)
     if s != pauli_row(ctx.n, ctx.d, {target: 1}):
         raise InternalInvariant("single-qudit pivot failed")
-    ctx.singles.append((target, part_idx))
+    ctx.roles.append(((part_idx,), (target,)))
     ctx.retire([target], [s])
     return True
 
@@ -397,7 +390,7 @@ def _extract_epr_once(ctx: _Extraction, pi: int, pj: int) -> bool:
     if (s_k != pauli_row(ctx.n, ctx.d, {qx: 1, qy: 1})
             or s_j != pauli_row(ctx.n, ctx.d, z={qx: 1, qy: -1})):
         raise InternalInvariant("EPR shaping failed")
-    ctx.pairs.append((pi, pj, qx, qy))
+    ctx.roles.append(((pi, pj), (qx, qy)))
     ctx.retire([qx, qy], [s_j, s_k])
     return True
 
@@ -443,7 +436,7 @@ def _extract_ghz_once(ctx: _Extraction) -> bool:
             or t3 != pauli_row(ctx.n, ctx.d, {qa: 1, qb: 1, qc: 1})):
         raise InternalInvariant("GHZ shaping failed")
 
-    ctx.triples.append((qa, qb, qc))
+    ctx.roles.append(((0, 1, 2), (qa, qb, qc)))
     ctx.retire([qa, qb, qc], [t1, t2, t3])
     return True
 
@@ -474,8 +467,7 @@ def _prime_normal_form(group: StabilizerGroup,
         raise InternalInvariant("extraction finished with residual generators")
     nf = NormalForm(
         d=group.d, n=group.n, parts=partition.parts,
-        singles=tuple(ctx.singles), pairs=tuple(ctx.pairs),
-        triples=tuple(ctx.triples),
+        roles=tuple(ctx.roles),
         circuits=tuple(tuple(c) for c in ctx.circuits))
     if not is_exact(group, nf):
         raise InternalInvariant("conjugated input differs from the normal form")
@@ -538,7 +530,7 @@ def extract_unentangled(group: StabilizerGroup,
     while _extract_single_once(ctx, 0):
         count += 1
     gens = tuple(ctx.canonical()) + tuple(
-        pauli_row(group.n, group.d, {q: 1}) for q, _ in ctx.singles)
+        pauli_row(group.n, group.d, {q: 1}) for _, (q,) in ctx.roles)
     return StabilizerGroup(group.d, group.n, gens), tuple(ctx.circuits[0]), count
 
 
@@ -555,7 +547,7 @@ def extract_epr_pair(group: StabilizerGroup, part_x, part_y):
     ctx = _Extraction(group, partition)
     if not _extract_epr_once(ctx, 0, 1):
         return None
-    _, _, qx, qy = ctx.pairs[0]
+    _, (qx, qy) = ctx.roles[0]
     gens = tuple(ctx.canonical()) + tuple(
         epr_pair_generators(group.d, group.n, qx, qy))
     return (StabilizerGroup(group.d, group.n, gens),
@@ -583,7 +575,7 @@ def extract_ghz(group: StabilizerGroup, part_a, part_b, part_c):
                 f"pairwise EPR extraction incomplete between parts {pi} and {pj}")
     if not _extract_ghz_once(ctx):
         return None
-    qa, qb, qc = ctx.triples[0]
+    _, (qa, qb, qc) = ctx.roles[0]
     gens = tuple(ctx.canonical()) + tuple(
         ghz_generators(group.d, group.n, qa, qb, qc))
     return (StabilizerGroup(group.d, group.n, gens),

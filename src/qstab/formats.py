@@ -195,15 +195,14 @@ def _render_nf_body(nf: NormalForm) -> list[str]:
     for i, circuit in enumerate(nf.circuits):
         out.append(f"tableau {i + 1} gates {len(circuit)}")
         out.extend(render_gate(g) for g in circuit)
-    out.append(f"singles {len(nf.singles)}")
-    for q, pi in nf.singles:
-        out.append(f"single {q + 1} {pi + 1}")
-    out.append(f"pairs {len(nf.pairs)}")
-    for pi, pj, qx, qy in nf.pairs:
-        out.append(f"pair {pi + 1} {pj + 1} {qx + 1} {qy + 1}")
-    out.append(f"triples {len(nf.triples)}")
-    for qa, qb, qc in nf.triples:
-        out.append(f"triple {qa + 1} {qb + 1} {qc + 1}")
+    # a single lists its qudit then its part, a pair its parts then its
+    # qudits, a triple its qudits
+    for width, kind in enumerate(("single", "pair", "triple"), 1):
+        block = [(qudits + names, names + qudits, qudits)[width - 1]
+                 for names, qudits in nf.roles if len(names) == width]
+        out.append(f"{kind}s {len(block)}")
+        out.extend(" ".join([kind, *(str(i + 1) for i in idx)])
+                   for idx in block)
     return out
 
 
@@ -230,8 +229,9 @@ class _Cursor:
         return self.lines[self.pos].split()[0] if self.pos < len(self.lines) else ""
 
     def take(self) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError("unexpected end of report")
+        if self.pos >= len(self.lines):  # numbered as _first_difference does
+            raise FormatError(f"line {len(self.text.splitlines()) + 1} reads "
+                              "'end of input', expected another line")
         self.pos += 1
         return self.lines[self.pos - 1]
 
@@ -291,11 +291,17 @@ def _parse_nf_body(cur: _Cursor) -> dict:
     circuits = []
     while cur.peek() == "tableau":
         circuits.append(tuple(parse_gate(ln) for ln in cur.block(3)))
-    body = {"circuits": tuple(circuits)}
-    for field, width in (("singles", 2), ("pairs", 4), ("triples", 3)):
-        body[field] = tuple(tuple(int(t) - 1 for t in ln.split()[1:1 + width])
-                            for ln in cur.block())
-    return body
+    roles = []
+    for ln in cur.block():
+        q, p = (int(t) - 1 for t in ln.split()[1:3])
+        roles.append(((p,), (q,)))
+    for ln in cur.block():
+        pi, pj, qx, qy = (int(t) - 1 for t in ln.split()[1:5])
+        roles.append(((pi, pj), (qx, qy)))
+    for ln in cur.block():
+        qa, qb, qc = (int(t) - 1 for t in ln.split()[1:4])
+        roles.append(((0, 1, 2), (qa, qb, qc)))
+    return {"circuits": tuple(circuits), "roles": tuple(roles)}
 
 
 def _nf_from_body(d: int, n: int, parts, body: dict, factors=()) -> NormalForm:

@@ -25,7 +25,7 @@ from .clifford import (
 )
 from .errors import InvalidCode, NonPrimeD, ShapeMismatch
 from .pauli import pauli_row
-from .stabilizer import GraphAdjacency, StabilizerGroup, from_graph
+from .stabilizer import GraphAdjacency, StabilizerGroup, graph_generators
 from . import linalg
 from .modring import factorize
 
@@ -93,9 +93,11 @@ def random_state(d: int, n: int, seed: int) -> StabilizerGroup:
     if n < 0:
         raise ShapeMismatch(f"n = {n} qudits is negative")
     rng = random.Random(seed)
-    group = from_graph(random_graph(d, n, rng), d)
+    graph = random_graph(d, n, rng)
     gates = random_single_qudit_gates(d, range(n), rng, 3 * n)
-    return scramble_group(group, gates)
+    # validated once, as the scrambled state; the graph rows are only conjugated
+    return StabilizerGroup(d, n, tuple(conjugate_rows(
+        gates, graph_generators(graph, d), d)))
 
 
 def random_partition(n: int, parts: int, seed: int) -> list[list[int]]:

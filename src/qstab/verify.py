@@ -86,12 +86,10 @@ def verify_crt_decomposition(group: StabilizerGroup, factors) -> list[Check]:
 
 
 def verify_channel_analysis(analysis: ChannelAnalysis) -> list[Check]:
-    """Re-check a channel analysis: consumption, duality, brute-force group."""
+    """Re-check a channel analysis: duality and the brute-force information
+    groups (analyze_channel already refuses one that leaves an input unused)."""
     code = analysis.code
-    checks: list[Check] = [
-        ("input-consumption", analysis.consumed == code.k),
-        ("duality", verify_duality(analysis)),
-    ]
+    checks: list[Check] = [("duality", verify_duality(analysis))]
     if code.d ** (code.n + code.k) <= oracle.INFO_GROUP_CAP:
         v_iso = oracle.isometry_from_code(code.graph_group, code.coding_gens)
         # one inverse circuit maps both sides' generators

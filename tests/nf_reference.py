@@ -19,12 +19,13 @@ from qstab.stabilizer import (
 def normal_form_group(nf) -> StabilizerGroup:
     """The exact group the conjugated input must equal (prime D)."""
     gens: list[list[int]] = []
-    for q, _ in nf.singles:
-        gens.append(to_row(x_op(nf.d, nf.n, q)))
-    for _, _, qx, qy in nf.pairs:
-        gens.extend(epr_pair_generators(nf.d, nf.n, qx, qy))
-    for qa, qb, qc in nf.triples:
-        gens.extend(ghz_generators(nf.d, nf.n, qa, qb, qc))
+    for _, qudits in nf.roles:
+        if len(qudits) == 1:
+            gens.append(to_row(x_op(nf.d, nf.n, *qudits)))
+        elif len(qudits) == 2:
+            gens.extend(epr_pair_generators(nf.d, nf.n, *qudits))
+        else:
+            gens.extend(ghz_generators(nf.d, nf.n, *qudits))
     return StabilizerGroup(nf.d, nf.n, tuple(gens))
 
 

@@ -287,7 +287,7 @@ def test_ghz_step_eliminates_on_c_once(monkeypatch):
         calls.append(0)
         if not _extract_ghz_once(ctx):
             break
-    assert len(ctx.triples) == 8
+    assert [names for names, _ in ctx.roles] == [(0, 1, 2)] * 8
     assert calls[1:8] == [6] * 7
 
 
@@ -540,7 +540,7 @@ def test_hold_eliminates_once_per_phase(monkeypatch):
         full = [k for k in calls if k]
         assert all(k == 2 for k in full)
         assert len(full) <= 6  # three single phases, three EPR phases
-        assert len(ctx.singles) + len(ctx.pairs) > len(full)
+        assert len(ctx.roles) > len(full)
 
 
 PRIMES = [2, 3, 5, 7, 11, 1009, 2**31 - 1]
@@ -609,7 +609,7 @@ def test_extraction_starts_from_validation_echelon(monkeypatch):
     ctx = canonicalize._Extraction(s, canonicalize.Partition(4, ((0, 1), (2, 3))))
     while canonicalize._extract_single_once(ctx, 0):
         pass
-    assert ctx.singles == [(0, 0), (1, 0)] and len(holds) == 2
+    assert ctx.roles == [((0,), (0,)), ((0,), (1,))] and len(holds) == 2
 
 
 def _tampered(nf, how, rng):
@@ -626,14 +626,12 @@ def _tampered(nf, how, rng):
 
         def sw(q):
             return swap.get(q, q)
+        return dataclasses.replace(nf, roles=tuple(
+            (names, tuple(map(sw, qudits))) for names, qudits in nf.roles))
+    if how == 3 and nf.roles and len(nf.roles[0][0]) == 1:
+        (names, _), *rest = nf.roles  # singles come first
         return dataclasses.replace(
-            nf, singles=tuple((sw(q), i) for q, i in nf.singles),
-            pairs=tuple((i, j, sw(x), sw(y)) for i, j, x, y in nf.pairs),
-            triples=tuple(tuple(map(sw, t)) for t in nf.triples))
-    if how == 3 and nf.singles:
-        (_, i), *rest = nf.singles
-        return dataclasses.replace(
-            nf, singles=((rng.randrange(nf.n), i), *rest))
+            nf, roles=((names, (rng.randrange(nf.n),)), *rest))
     return dataclasses.replace(nf)
 
 
@@ -654,11 +652,12 @@ def test_closed_form_exactness_matches_reference(d, n, nparts, how, rng):
 def test_closed_form_exactness_false_cases():
     s = plus_state_group(3, 3)
     nf = dataclasses.replace(tripartition_normal_form(s, [0], [1], [2]))
-    assert nf.singles == ((0, 0), (1, 1), (2, 2)) and is_exact(s, nf)
+    assert nf.roles == (((0,), (0,)), ((1,), (1,)), ((2,), (2,)))
+    assert is_exact(s, nf)
     # every replayed row lies in the group of these roles, so only the
     # cover and size conditions can reject them
-    overlapping = dataclasses.replace(nf, singles=nf.singles + ((0, 0),))
-    uncovered = dataclasses.replace(nf, singles=nf.singles[:2])
+    overlapping = dataclasses.replace(nf, roles=nf.roles + (((0,), (0,)),))
+    uncovered = dataclasses.replace(nf, roles=nf.roles[:2])
     assert not is_exact(s, overlapping)
     assert not is_exact(s, uncovered)
     assert not is_exact(StabilizerGroup(3, 3, s.gens[:2]), nf)
@@ -670,5 +669,4 @@ def test_closed_form_exactness_false_cases():
     s = plus_state_group(3, 2)
     nf = dataclasses.replace(bipartition_normal_form(s, [0], [1]))
     assert is_exact(s, nf)
-    assert not is_exact(s, dataclasses.replace(nf, singles=(),
-                                               pairs=((0, 1, 0, 1),)))
+    assert not is_exact(s, dataclasses.replace(nf, roles=(((0, 1), (0, 1)),)))

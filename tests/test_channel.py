@@ -1,5 +1,6 @@
 """Stabilizer code channels: Choi states, capacities, info groups, duality."""
 
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,13 @@ from qstab.channel import (
     verify_duality,
 )
 from qstab.clifford import conjugate, inverse_gates
-from qstab.errors import InvalidCode, NonPrimeD, NotMaximallyMixedInput, ShapeMismatch
+from qstab.errors import (
+    InternalInvariant,
+    InvalidCode,
+    NonPrimeD,
+    NotMaximallyMixedInput,
+    ShapeMismatch,
+)
 from qstab.pauli import from_exponents, from_row, phase_op, to_row, x_op, z_op
 from qstab.randgen import random_code, random_partition
 from qstab.stabilizer import (
@@ -75,8 +82,8 @@ def test_choi_of_identity_like_code_maximally_entangled():
 
 
 def test_choi_builds_one_group_and_no_subgroup(monkeypatch):
-    # the graph generators are read without a graph group, and the input
-    # marginal comes from a rank, not from a subgroup
+    # the graph generators are read without a graph group, and neither a
+    # subgroup nor a rank is taken: analyze_channel checks the input side
     from qstab import stabilizer
 
     code = make_code(3, 12, 4, 1)
@@ -85,6 +92,7 @@ def test_choi_builds_one_group_and_no_subgroup(monkeypatch):
     monkeypatch.setattr(stabilizer.StabilizerGroup, "__post_init__",
                         lambda self: builds.append(self) or real_init(self))
     monkeypatch.setattr(stabilizer, "subgroup_on_part", None)
+    monkeypatch.setattr(channel, "reduced_rank", None)
     choi = code_to_choi_state(code)
     assert builds == [choi] and choi.is_state()
 
@@ -119,6 +127,28 @@ def test_capacities_follow_what_each_role_sends():
     assert channel.capacities(counts) == {"Q_B": 2, "C_B": 7,
                                           "Q_C": 3, "C_C": 8}
     assert list(channel.capacities(counts)) == ["Q_B", "C_B", "Q_C", "C_C"]
+
+
+def test_unconsumed_input_is_one_internal_invariant(monkeypatch):
+    # a form that leaves an input qudit in a single, here an input pair
+    # split in two, meets the one consumption check
+    real_form = channel.tripartition_normal_form
+
+    def split_input_pair(group, *parts):
+        nf = real_form(group, *parts)
+        i = next(i for i, (names, _) in enumerate(nf.roles)
+                 if names in ((0, 1), (0, 2)))
+        (_, pj), (qa, qb) = nf.roles[i]
+        return dataclasses.replace(nf, roles=(((0,), (qa,)), ((pj,), (qb,)))
+                                   + nf.roles[:i] + nf.roles[i + 1:])
+
+    monkeypatch.setattr(channel, "tripartition_normal_form", split_input_pair)
+    for code, b, c in ((identity_like_code(3), [0], []),
+                       (identity_like_code(5), [], [0]),
+                       (make_code(3, 6, 2, 2), [0, 1, 2], [3, 4, 5])):
+        with pytest.raises(InternalInvariant,
+                           match="input qudits not fully consumed"):
+            analyze_channel(code, b, c)
 
 
 def test_analyze_ghz_code():

@@ -156,6 +156,20 @@ def test_report_parse_error_names_the_line():
         formats.parse_normal_form(text + "triple 1 2 3\n")
 
 
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in GOLDEN.iterdir() if path.suffix in (".nf", ".chan")))
+def test_truncated_report_names_where_it_ends(name):
+    text = (GOLDEN / name).read_text()
+    parse = (formats.parse_normal_form if name.endswith(".nf")
+             else formats.parse_channel_report)
+    lines = text.splitlines(keepends=True)
+    for cut in range(1, len(lines)):
+        with pytest.raises(FormatError) as err:
+            parse("".join(lines[:cut]))
+        assert str(err.value).startswith(
+            f"line {cut + 1} reads 'end of input', expected "), (cut, err.value)
+
+
 def test_detect_kind():
     s = ghz_group(2)
     assert formats.detect_kind(formats.render_stabilizer(s)) == "stabilizer"

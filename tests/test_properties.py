@@ -107,9 +107,9 @@ def test_one_round_of_single_and_epr_phases_suffices(case):
     group, parts = case
     ctx = _Extraction(group, Partition(group.n, tuple(map(tuple, parts))))
     _extract_singles_and_pairs(ctx)
-    done = (list(ctx.singles), list(ctx.pairs), [list(c) for c in ctx.circuits])
+    done = (list(ctx.roles), [list(c) for c in ctx.circuits])
     _extract_singles_and_pairs(ctx)
-    assert (ctx.singles, ctx.pairs, ctx.circuits) == done
+    assert (ctx.roles, ctx.circuits) == done
 
 
 @st.composite

@@ -241,6 +241,26 @@ def test_validation_keeps_the_canonical_echelon(d, n, rng):
             assert group._canonical_rows is None
 
 
+def test_random_state_validates_once(monkeypatch):
+    # the graph rows are conjugated without a graph group of their own, in
+    # the draw order of scrambling that group, so the state is the same
+    from qstab import randgen
+
+    builds = []
+    real_init = StabilizerGroup.__post_init__
+    for d, n, seed in ((2, 5, 1), (3, 8, 2), (6, 4, 3), (1009, 3, 4)):
+        rng = random.Random(seed)
+        graph = randgen.random_graph(d, n, rng)
+        gates = randgen.random_single_qudit_gates(d, range(n), rng, 3 * n)
+        scrambled = randgen.scramble_group(from_graph(graph, d), gates)
+        with monkeypatch.context() as m:
+            m.setattr(StabilizerGroup, "__post_init__",
+                      lambda self: builds.append(self) or real_init(self))
+            builds.clear()
+            s = random_state(d, n, seed)
+        assert builds == [s] and s == scrambled
+
+
 def test_out_of_range_qudits_raise():
     with pytest.raises(IndexOutOfRange):
         reduced_rank(ghz_group(3), [0, 7])
